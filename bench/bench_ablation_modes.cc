@@ -23,8 +23,8 @@ int main() {
               static_cast<double>(r1.wire_bytes) / 1024.0});
 
     ExperimentOptions mode2 = PaperOptions(tree, Scheme::kBpr);
-    mode2.answer_mode = core::AnswerMode::kIndicate;
-    mode2.auto_fetch = true;
+    mode2.node.answer_mode = core::AnswerMode::kIndicate;
+    mode2.node.auto_fetch = true;
     auto r2 = MustRun(mode2);
     PrintRow("2 (fetch)",
              {r2.MeanCompletionMs(),
@@ -32,8 +32,8 @@ int main() {
               static_cast<double>(r2.wire_bytes) / 1024.0});
 
     ExperimentOptions names = PaperOptions(tree, Scheme::kBpr);
-    names.answer_mode = core::AnswerMode::kIndicate;
-    names.auto_fetch = false;
+    names.node.answer_mode = core::AnswerMode::kIndicate;
+    names.node.auto_fetch = false;
     auto r3 = MustRun(names);
     PrintRow("2 (names only)",
              {r3.MeanCompletionMs(),
@@ -45,21 +45,10 @@ int main() {
   PrintRowHeader({"codec", "mean ms", "wire KB"});
   for (const char* codec : {"lzss", "null"}) {
     ExperimentOptions o = PaperOptions(tree, Scheme::kBpr);
-    o.codec = codec;
+    o.node.codec = codec;
     auto r = MustRun(o);
     PrintRow(codec, {r.MeanCompletionMs(),
                      static_cast<double>(r.wire_bytes) / 1024.0});
-  }
-
-  PrintTitle(
-      "StorM query cache (tree 31, BPS) — repeated queries skip the scan");
-  PrintRowHeader({"cache", "run 1 ms", "run 2 ms", "run 4 ms"});
-  for (bool cache : {false, true}) {
-    ExperimentOptions o = PaperOptions(tree, Scheme::kBps);
-    o.enable_query_cache = cache;
-    auto r = MustRun(o);
-    PrintRow(cache ? "on" : "off",
-             {r.CompletionMs(0), r.CompletionMs(1), r.CompletionMs(3)});
   }
 
   PrintTitle("Agent-class cache (tree 31, BPS) — run 1 pays code shipping");

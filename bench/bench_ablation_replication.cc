@@ -5,7 +5,7 @@
 //   freq-broadcast: PR-5 behavior, every promotion broadcast to all
 //                   direct peers, epochs probe-discovered;
 //   qos-placement:  promotions go to the replica_fanout best peers by
-//                   the QoS score (RTT / benefit / failures / bandwidth);
+//                   the QoS score (RTT / failures / bandwidth);
 //   qos+gossip:     QoS placement plus the gossip anti-entropy plane, so
 //                   epoch bumps invalidate cached slices *before* the
 //                   next probe (no stale-probe round trips).
@@ -38,8 +38,8 @@ workload::ExperimentOptions PlacementWorkload() {
   // visibly overspends wire.
   o.matches_per_node_vec = workload::FarHotPlacement(o.topology, 4, 4);
   o.queries = FastMode() ? 16 : 32;
-  o.answer_mode = core::AnswerMode::kDirect;
-  o.ttl = 64;
+  o.node.answer_mode = core::AnswerMode::kDirect;
+  o.node.default_ttl = 64;
   o.seed = 1;
   // Zipf-repeat pool: the skewed repetition gives the cache something to
   // hit and the promotion sketch something to promote.
@@ -52,11 +52,11 @@ workload::ExperimentOptions PlacementWorkload() {
   o.fault.message_loss = 0.02;
   // All arms run cache + replication; the arms differ only in placement
   // and epoch dissemination.
-  o.enable_result_cache = true;
-  o.enable_replication = true;
-  o.replica_hot_threshold = 3;
-  o.replica_top_k = 8;
-  o.count_stale_probes = true;
+  o.node.enable_result_cache = true;
+  o.node.enable_replication = true;
+  o.node.replica_hot_threshold = 3;
+  o.node.replica_top_k = 8;
+  o.node.count_stale_probes = true;
   return o;
 }
 
@@ -121,13 +121,13 @@ int main() {
   ArmOutcome freq_out = Summarize(freq_result, 0);
 
   workload::ExperimentOptions qos = freq;
-  qos.qos_replica_placement = true;
-  qos.replica_fanout = 2;
+  qos.node.qos_replica_placement = true;
+  qos.node.replica_fanout = 2;
   workload::ExperimentResult qos_result = report.Run(qos);
   ArmOutcome qos_out = Summarize(qos_result, freq_out.wire_bytes);
 
   workload::ExperimentOptions gossip = qos;
-  gossip.enable_gossip = true;
+  gossip.node.enable_gossip = true;
   workload::ExperimentResult gossip_result = report.Run(gossip);
   ArmOutcome gossip_out = Summarize(gossip_result, freq_out.wire_bytes);
 

@@ -16,7 +16,7 @@ void RunCase(const std::string& label, Topology topology) {
   PrintRowHeader({"strategy", "run 1", "run 2", "run 3", "run 4"});
   for (const char* strategy : {"none", "maxcount", "minhops", "fastest"}) {
     ExperimentOptions o = PaperOptions(topology, Scheme::kBpr);
-    o.strategy = strategy;
+    o.node.strategy = strategy;
     if (std::string(strategy) == "none") o.scheme = Scheme::kBps;
     auto result = MustRun(o);
     std::vector<double> row;
@@ -39,7 +39,7 @@ int main() {
   PrintRowHeader({"strategy", "run 1", "run 2", "run 3", "run 4"});
   for (const char* strategy : {"none", "maxcount", "minhops", "fastest"}) {
     ExperimentOptions o = PaperOptions(line, Scheme::kBpr);
-    o.strategy = strategy;
+    o.node.strategy = strategy;
     if (std::string(strategy) == "none") o.scheme = Scheme::kBps;
     o.matches_per_node_vec = FarHotPlacement(line, 3, 10);
     auto result = MustRun(o);

@@ -38,8 +38,8 @@ workload::ExperimentOptions CacheWorkload() {
   // replicas toward the base can actually shorten the answer path.
   o.matches_per_node_vec = workload::FarHotPlacement(o.topology, 4, 4);
   o.queries = FastMode() ? 16 : 32;
-  o.answer_mode = core::AnswerMode::kDirect;
-  o.ttl = 64;
+  o.node.answer_mode = core::AnswerMode::kDirect;
+  o.node.default_ttl = 64;
   o.seed = 1;
   // The cacheable workload: 6 pooled keywords, Zipf-skewed repetition.
   o.query_pool = 6;
@@ -204,14 +204,14 @@ int main() {
   ArmOutcome off_out = Summarize(off_result, 0);
 
   workload::ExperimentOptions on = off;
-  on.enable_result_cache = true;
+  on.node.enable_result_cache = true;
   workload::ExperimentResult on_result = report.Run(on);
   ArmOutcome on_out = Summarize(on_result, off_out.wire_bytes);
 
   workload::ExperimentOptions repl = on;
-  repl.enable_replication = true;
-  repl.replica_hot_threshold = 3;
-  repl.replica_top_k = 8;
+  repl.node.enable_replication = true;
+  repl.node.replica_hot_threshold = 3;
+  repl.node.replica_top_k = 8;
   workload::ExperimentResult repl_result = report.Run(repl);
   ArmOutcome repl_out = Summarize(repl_result, off_out.wire_bytes);
 

@@ -54,10 +54,10 @@ inline workload::ExperimentOptions PaperOptions(workload::Topology topology,
   o.object_size = 1024;
   o.matches_per_node = 10;
   o.queries = scale.queries;
-  o.max_direct_peers = 8;
+  o.node.max_direct_peers = 8;
   // The paper's controlled environment searches every node; a TTL above
   // any overlay diameter used here guarantees full coverage.
-  o.ttl = 64;
+  o.node.default_ttl = 64;
   return o;
 }
 
@@ -70,8 +70,8 @@ inline workload::ExperimentOptions SearchPhaseOptions(
     workload::Topology topology, workload::Scheme scheme) {
   workload::ExperimentOptions o =
       PaperOptions(std::move(topology), scheme);
-  o.answer_mode = core::AnswerMode::kIndicate;
-  o.auto_fetch = false;
+  o.node.answer_mode = core::AnswerMode::kIndicate;
+  o.node.auto_fetch = false;
   return o;
 }
 
@@ -113,14 +113,14 @@ class BenchReport {
     rows_.emplace_back(std::move(label), values);
   }
 
-  /// Folds one experiment into the report's aggregate snapshot.
-  void Absorb(const workload::ExperimentResult& result) {
+  /// Folds one run's wire bytes and metrics into the report's aggregate.
+  void Absorb(const workload::RunArtifacts& result) {
     wire_bytes_ += result.wire_bytes;
     metrics_.Merge(result.metrics);
   }
 
   /// Folds a raw registry snapshot in (for benches that drive a workload
-  /// directly instead of going through RunExperiment).
+  /// directly, or that report a run's metrics without its wire bytes).
   void Absorb(const metrics::Snapshot& snapshot) {
     metrics_.Merge(snapshot);
   }
@@ -133,13 +133,10 @@ class BenchReport {
   }
 
   /// Attaches the run's `timeseries` and (when tracing was on) a
-  /// `critical_path` section computed from its spans. Works for any
-  /// result type carrying `timeseries`/`trace`/`flight` members
-  /// (experiment, churn, scenario runs). Later attachments replace
-  /// earlier ones: benches typically attach their headline
-  /// configuration's run.
-  template <typename ResultT>
-  void AttachObservability(const ResultT& result) {
+  /// `critical_path` section computed from its spans (experiment, churn
+  /// and scenario runs alike). Later attachments replace earlier ones:
+  /// benches typically attach their headline configuration's run.
+  void AttachObservability(const workload::RunArtifacts& result) {
     if (!result.timeseries.empty()) {
       timeseries_json_ = result.timeseries.ToJson(2);
     }
@@ -149,10 +146,6 @@ class BenchReport {
       if (!cp.empty()) critical_path_json_ = cp.ToJson(2);
     }
   }
-
-  /// Folds wire bytes from a run that doesn't go through Absorb's
-  /// ExperimentResult overload (e.g. a scenario run).
-  void AddWireBytes(uint64_t bytes) { wire_bytes_ += bytes; }
 
   void Write() {
     if (written_) return;

@@ -29,7 +29,7 @@ int main() {
       auto options = SearchPhaseOptions(MakeStar(n), scheme);
       // On a star every node is directly connected to the base; the
       // base's peer capacity covers the whole network (paper Fig. 4(a)).
-      options.max_direct_peers = n;
+      options.node.max_direct_peers = n;
       auto result = report.Run(options);
       row.push_back(result.MeanCompletionMs());
     }

@@ -25,8 +25,9 @@ int main() {
   BenchReport report("fig8a_gnutella_runs");
   ExperimentOptions bp = PaperOptions(random, Scheme::kBpr);
   bp.matches_per_node_vec = placement;
-  bp.answer_mode = core::AnswerMode::kIndicate;  // Names only, like Gnutella.
-  bp.auto_fetch = false;
+  // Names only, like Gnutella.
+  bp.node.answer_mode = core::AnswerMode::kIndicate;
+  bp.node.auto_fetch = false;
   auto bp_result = report.Run(bp);
 
   ExperimentOptions gnut = PaperOptions(random, Scheme::kGnutella);

@@ -25,10 +25,10 @@ int main() {
     auto placement = FarHotPlacement(random, 3, 10);
 
     ExperimentOptions bp = PaperOptions(random, Scheme::kBpr);
-    bp.max_direct_peers = peers;
+    bp.node.max_direct_peers = peers;
     bp.matches_per_node_vec = placement;
-    bp.answer_mode = core::AnswerMode::kIndicate;
-    bp.auto_fetch = false;
+    bp.node.answer_mode = core::AnswerMode::kIndicate;
+    bp.node.auto_fetch = false;
     auto bp_result = report.Run(bp);
 
     ExperimentOptions gnut = PaperOptions(random, Scheme::kGnutella);

@@ -121,9 +121,9 @@ void RunFleetArm(BenchReport& report) {
 
   workload::ExperimentOptions scan = FleetWorkload();
   workload::ExperimentOptions index = scan;
-  index.use_index_search = true;
+  index.node.use_index_search = true;
   workload::ExperimentOptions pruned = index;
-  pruned.enable_content_summaries = true;
+  pruned.node.enable_content_summaries = true;
 
   for (const auto& [label, options] :
        std::initializer_list<

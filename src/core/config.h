@@ -56,13 +56,6 @@ struct BestPeerConfig {
                                    : 2 * max_direct_peers;
   }
 
-  /// Weight of accumulated answer history when reconfiguring: the score
-  /// fed to the strategy is answers + history_weight * previous_score,
-  /// and unobserved nodes decay by the same factor. 0 (default) ranks by
-  /// the last query only, as in the paper; values near 1 make the peer
-  /// set sticky against one-off outliers.
-  double history_weight = 0.0;
-
   // --- cost model -------------------------------------------------------
 
   /// CPU per object examined by a StorM search agent.
@@ -173,8 +166,8 @@ struct BestPeerConfig {
   uint64_t gossip_seed = 1;
 
   /// Scores replica-push targets by the QoS vector (observed RTT,
-  /// answer benefit, failure history, link bandwidth) and pushes to the
-  /// best `replica_fanout` peers instead of broadcasting to every direct
+  /// failure history, link bandwidth) and pushes to the best
+  /// `replica_fanout` peers instead of broadcasting to every direct
   /// neighbor. Off keeps the PR-5 frequency-broadcast behavior.
   bool qos_replica_placement = false;
 

@@ -928,8 +928,6 @@ NodeTelemetry BestPeerNode::TelemetrySnapshot() const {
   for (const PeerInfo& info : peers_.Snapshot()) {
     PeerTelemetry row;
     row.info = info;
-    auto score = answer_scores_.find(info.node);
-    if (score != answer_scores_.end()) row.benefit_score = score->second;
     auto hint = store_size_hints_.find(info.node);
     if (hint != store_size_hints_.end()) row.store_size_hint = hint->second;
     t.peers.push_back(std::move(row));
@@ -1157,8 +1155,6 @@ void BestPeerNode::PushHotReplicas(const std::vector<uint64_t>& ids) {
       if (fully_leased) continue;
       cache::PeerQoS qos;
       qos.rtt_us = static_cast<double>(info.last_response_time);
-      auto score = answer_scores_.find(info.node);
-      if (score != answer_scores_.end()) qos.benefit = score->second;
       qos.failures = info.consecutive_failures;
       qos.bandwidth_bytes_per_us = transport_->link().bytes_per_us;
       candidates.emplace_back(info.node, qos);
@@ -1321,31 +1317,7 @@ Status BestPeerNode::Reconfigure(uint64_t query_id) {
   if (it == sessions_.end()) {
     return Status::NotFound("unknown query " + std::to_string(query_id));
   }
-  auto observations = it->second.Observations();
-
-  if (config_.history_weight > 0) {
-    // Blend this query's answers into the per-node EWMA scores and rank
-    // by the blended score instead of the raw last-query count.
-    std::map<NodeId, bool> seen;
-    for (auto& obs : observations) {
-      double& score = answer_scores_[obs.node];
-      score = static_cast<double>(obs.answers) +
-              config_.history_weight * score;
-      obs.answers = static_cast<uint64_t>(score);
-      seen[obs.node] = true;
-    }
-    for (auto& [node, score] : answer_scores_) {
-      if (seen.count(node) != 0) continue;
-      score *= config_.history_weight;  // Stale favourites fade.
-      if (score < 0.5) continue;
-      PeerObservation ghost;
-      ghost.node = node;
-      ghost.answers = static_cast<uint64_t>(score);
-      ghost.hops = 1;
-      observations.push_back(ghost);
-    }
-  }
-
+  const auto observations = it->second.Observations();
   auto new_peers = strategy_->SelectPeers(observations, peers_.Nodes(),
                                           config_.max_direct_peers);
   ApplyPeerSet(new_peers, observations);

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
 #include "core/node.h"
 #include "core/search_agent.h"
-#include "net/sim_transport.h"
 #include "scenario/arrival.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "workload/corpus.h"
 #include "workload/topology.h"
@@ -40,31 +37,6 @@ workload::Topology BuildTopology(const ScenarioSpec& spec) {
     return workload::MakeRandom(n, t.max_degree, rng);
   }
   return workload::MakeTree(n, t.fanout);
-}
-
-bool TraceRequested(const ScenarioRunOptions& options) {
-  return options.trace || std::getenv("BP_TRACE_OUT") != nullptr;
-}
-
-SimTime SampleInterval(const ScenarioRunOptions& options) {
-  if (const char* env = std::getenv("BP_SAMPLE_INTERVAL_US")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<SimTime>(v);
-  }
-  return options.sample_interval;
-}
-
-void MaybeEnableFlight(sim::Simulator* simulator,
-                       const ScenarioRunOptions& options) {
-  size_t capacity = options.flight_capacity;
-  if (capacity == 0 && std::getenv("BP_FLIGHT_OUT") != nullptr) {
-    capacity = obs::FlightRecorderOptions{}.capacity;
-  }
-  if (capacity == 0) return;
-  obs::FlightRecorderOptions fo;
-  fo.capacity = capacity;
-  if (const char* out = std::getenv("BP_FLIGHT_OUT")) fo.auto_dump_path = out;
-  simulator->EnableFlightRecorder(fo);
 }
 
 /// One internal arrival: when, who, what, which phase.
@@ -101,29 +73,9 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
 
   const size_t node_count = spec.TotalNodes();
 
-  // Declared first so instruments outlive every component holding handles.
-  metrics::Registry registry;
-  sim::Simulator simulator;
-  if (TraceRequested(options)) simulator.EnableTracing();
-  MaybeEnableFlight(&simulator, options);
-  std::unique_ptr<obs::TimeSeriesSampler> sampler;
-  std::unique_ptr<obs::SamplerDriver> sampler_driver;
-  if (const SimTime interval = SampleInterval(options); interval > 0) {
-    sampler = std::make_unique<obs::TimeSeriesSampler>(&registry, interval);
-    sampler->AddDefaultColumns();
-    sampler_driver =
-        std::make_unique<obs::SamplerDriver>(&simulator, sampler.get());
-  }
-  auto arm_sampler = [&sampler_driver]() {
-    if (sampler_driver != nullptr) sampler_driver->Arm();
-  };
-  // Must precede SimNetwork construction so the network binds the
-  // injector (no-op at zero loss — bit-identical schedules).
-  spec.fault.EnableOn(&simulator, spec.seed, &registry);
-  sim::NetworkOptions net_options;
-  net_options.metrics = &registry;
-  sim::SimNetwork network(&simulator, net_options);
-  net::SimTransportFleet fleet(&network);
+  workload::SimRun run(options.obs, spec.fault, spec.seed);
+  sim::Simulator& simulator = run.simulator();
+  sim::SimNetwork& network = run.network();
   core::SharedInfra infra;
 
   const workload::Topology topo = BuildTopology(spec);
@@ -147,12 +99,9 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
     ids.push_back(id);
   }
 
-  core::BestPeerConfig config;
-  config.max_direct_peers = spec.max_direct_peers;
-  config.strategy = spec.reconfigure_each_phase ? "maxcount" : "none";
-  config.default_ttl = spec.ttl;
-  config.metrics = &registry;
-  spec.fault.ApplyTo(&config);
+  core::BestPeerConfig config = spec.node;
+  if (!spec.reconfigure_each_phase) config.strategy = "none";
+  config.metrics = run.registry();
 
   // Pooled keywords: every matching object answers every pooled query.
   std::vector<std::string> tokens;
@@ -167,8 +116,9 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
   nodes.reserve(node_count);
   for (size_t i = 0; i < node_count; ++i) {
     const NodeClassSpec& cls = spec.classes[spec.ClassOf(i)];
-    BP_ASSIGN_OR_RETURN(auto node, core::BestPeerNode::Create(
-                                       fleet.For(ids[i]), &infra, config));
+    BP_ASSIGN_OR_RETURN(
+        auto node,
+        core::BestPeerNode::Create(run.fleet().For(ids[i]), &infra, config));
     storm::StormOptions store;
     store.buffer_frames = 128;
     store.replacement = "lru";
@@ -325,7 +275,7 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
       }
       BP_ASSIGN_OR_RETURN(uint64_t query_id,
                           nodes[a.node]->IssueSearch(a.keyword));
-      arm_sampler();
+      run.ArmSampler();
       last_query[a.node] = query_id;
       queried[a.node] = true;
       issued_ids.emplace_back(query_id, result.queries.size());
@@ -351,7 +301,7 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
   }
   // Drain: in-flight queries finish, pending rejoins fire (no queries
   // remain, so late rejoins change nothing observable).
-  arm_sampler();
+  run.ArmSampler();
   simulator.RunUntilIdle();
 
   for (const auto& [query_id, index] : issued_ids) {
@@ -387,27 +337,7 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
     phase.mean_completion_ms /= n;
   }
 
-  result.wire_bytes = network.total_wire_bytes();
-  result.metrics = registry.TakeSnapshot();
-  result.trace = simulator.shared_trace();
-  result.flight = simulator.shared_flight();
-  if (sampler != nullptr) result.timeseries = sampler->Take();
-  if (result.trace != nullptr) {
-    if (const char* out = std::getenv("BP_TRACE_OUT")) {
-      Status s = result.trace->WriteChromeJson(out);
-      if (!s.ok()) {
-        BP_LOG(Warn) << "BP_TRACE_OUT write failed: " << s.ToString();
-      }
-    }
-  }
-  if (result.flight != nullptr) {
-    if (const char* out = std::getenv("BP_FLIGHT_OUT")) {
-      Status s = result.flight->WriteNdjson(out);
-      if (!s.ok()) {
-        BP_LOG(Warn) << "BP_FLIGHT_OUT write failed: " << s.ToString();
-      }
-    }
-  }
+  run.Finish(&result);
   return result;
 }
 

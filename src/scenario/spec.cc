@@ -248,27 +248,29 @@ Status ParseChurnWave(const JsonValue& value, size_t index,
   return Status::OK();
 }
 
-Status ParseFault(const JsonValue& value,
-                  workload::FaultRecoveryOptions* out) {
+/// The "fault" block: message loss goes to the injector, the recovery
+/// knobs straight into the node config.
+Status ParseFault(const JsonValue& value, workload::FaultRecoveryOptions* fault,
+                  core::BestPeerConfig* node) {
   FieldReader r(value, "fault");
   BP_RETURN_IF_ERROR(r.RequireObject());
   BP_RETURN_IF_ERROR(
-      r.TakeNumber("message_loss", &out->message_loss, 0, 0.9));
-  double deadline_ms = ToMillis(out->query_deadline);
+      r.TakeNumber("message_loss", &fault->message_loss, 0, 0.9));
+  double deadline_ms = ToMillis(node->query_deadline);
   BP_RETURN_IF_ERROR(
       r.TakeNumber("query_deadline_ms", &deadline_ms, 0, kMaxMs));
-  out->query_deadline = MsToSimTime(deadline_ms);
-  double retries = out->liglo_retries;
+  node->query_deadline = MsToSimTime(deadline_ms);
+  double retries = node->liglo_max_retries;
   BP_RETURN_IF_ERROR(r.TakeNumber("liglo_retries", &retries, 0, 16));
-  out->liglo_retries = static_cast<int>(retries);
-  double threshold = out->peer_failure_threshold;
+  node->liglo_max_retries = static_cast<int>(retries);
+  double threshold = node->peer_failure_threshold;
   BP_RETURN_IF_ERROR(
       r.TakeNumber("peer_failure_threshold", &threshold, 1, 1000));
-  out->peer_failure_threshold = static_cast<uint32_t>(threshold);
-  double expiry_ms = ToMillis(out->agent_seen_expiry);
+  node->peer_failure_threshold = static_cast<uint32_t>(threshold);
+  double expiry_ms = ToMillis(node->agent_seen_expiry);
   BP_RETURN_IF_ERROR(
       r.TakeNumber("agent_seen_expiry_ms", &expiry_ms, 0, kMaxMs));
-  out->agent_seen_expiry = MsToSimTime(expiry_ms);
+  node->agent_seen_expiry = MsToSimTime(expiry_ms);
   return r.Finish();
 }
 
@@ -333,11 +335,11 @@ Result<ScenarioSpec> ParseScenario(const obs::JsonValue& root) {
   BP_RETURN_IF_ERROR(
       r.TakeNumber("query_zipf_skew", &spec.query_zipf_skew, 0, 4));
   BP_RETURN_IF_ERROR(r.TakeCount("object_size", &spec.object_size, 1 << 20));
-  size_t ttl = spec.ttl;
+  size_t ttl = spec.node.default_ttl;
   BP_RETURN_IF_ERROR(r.TakeCount("ttl", &ttl, 255));
-  spec.ttl = static_cast<uint16_t>(ttl);
+  spec.node.default_ttl = static_cast<uint16_t>(ttl);
   BP_RETURN_IF_ERROR(
-      r.TakeCount("max_direct_peers", &spec.max_direct_peers, 1024));
+      r.TakeCount("max_direct_peers", &spec.node.max_direct_peers, 1024));
   std::string reconfigure = "off";
   BP_RETURN_IF_ERROR(r.TakeString("reconfigure", &reconfigure));
   if (reconfigure == "phase") {
@@ -359,8 +361,8 @@ Result<ScenarioSpec> ParseScenario(const obs::JsonValue& root) {
   }
   if (spec.query_pool == 0) return r.Err("query_pool must be >= 1");
   if (spec.object_size == 0) return r.Err("object_size must be >= 1");
-  if (spec.ttl == 0) return r.Err("ttl must be >= 1");
-  if (spec.max_direct_peers == 0) {
+  if (spec.node.default_ttl == 0) return r.Err("ttl must be >= 1");
+  if (spec.node.max_direct_peers == 0) {
     return r.Err("max_direct_peers must be >= 1");
   }
 
@@ -422,7 +424,7 @@ Result<ScenarioSpec> ParseScenario(const obs::JsonValue& root) {
   }
 
   if (fault != nullptr) {
-    BP_RETURN_IF_ERROR(ParseFault(*fault, &spec.fault));
+    BP_RETURN_IF_ERROR(ParseFault(*fault, &spec.fault, &spec.node));
   }
   return spec;
 }

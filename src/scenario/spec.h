@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.h"
 #include "obs/json_reader.h"
 #include "util/result.h"
 #include "util/sim_time.h"
@@ -94,16 +95,24 @@ struct ScenarioSpec {
   size_t query_pool = 8;
   double query_zipf_skew = 1.1;
   size_t object_size = 512;
-  uint16_t ttl = 32;
-  size_t max_direct_peers = 8;
+  /// The configuration every node runs. The spec's `ttl` and
+  /// `max_direct_peers` keys (defaults 32 and 8) and the recovery keys
+  /// of its `fault` block parse straight into it; the runner derives the
+  /// strategy ("none" unless reconfigure_each_phase) and metrics.
+  core::BestPeerConfig node = [] {
+    core::BestPeerConfig config;
+    config.default_ttl = 32;
+    config.max_direct_peers = 8;
+    return config;
+  }();
   /// "phase": every issuer reconfigures on its last query of each phase;
   /// "off": static peer sets.
   bool reconfigure_each_phase = false;
   std::vector<NodeClassSpec> classes;
   std::vector<PhaseSpec> phases;
   std::vector<ChurnWaveSpec> churn;
-  /// Shared fault-injection/recovery knob block (same struct the
-  /// experiment and churn drivers consume).
+  /// Message-loss injection (same struct the experiment and churn
+  /// drivers consume).
   workload::FaultRecoveryOptions fault;
 
   size_t TotalNodes() const;

@@ -69,10 +69,6 @@ Result<std::unique_ptr<Storm>> Storm::Open(const StormOptions& options) {
 
 void Storm::BumpEpoch() {
   ++mutation_epoch_;
-  // Every cached entry was computed at an older epoch and can never be
-  // served again; dropping them now keeps dead results from counting
-  // toward query_cache_entries and evicting fresh entries.
-  query_cache_.clear();
   if (mutation_listener_) mutation_listener_(mutation_epoch_);
 }
 
@@ -141,28 +137,6 @@ Status Storm::Update(ObjectId id, const Bytes& data) {
 Result<Storm::ScanResult> Storm::ScanSearch(std::string_view query) {
   BP_ASSIGN_OR_RETURN(QueryExpr expr, QueryExpr::Parse(query));
   expr.Normalize();
-  const std::string canonical = expr.ToString();
-
-  if (options_.enable_query_cache) {
-    auto it = query_cache_.find(canonical);
-    if (it != query_cache_.end()) {
-      if (it->second.epoch == mutation_epoch_) {
-        ++cache_hits_;
-        it->second.last_used = ++cache_clock_;
-        ScanResult cached;
-        cached.matches = it->second.matches;
-        cached.objects_scanned = 0;
-        cached.from_cache = true;
-        return cached;
-      }
-      // Stale epoch: BumpEpoch() clears the cache eagerly so this should
-      // be unreachable, but purge defensively rather than let a dead
-      // entry occupy capacity.
-      query_cache_.erase(it);
-    }
-    ++cache_misses_;
-  }
-
   ScanResult result;
   BP_RETURN_IF_ERROR(
       objects_->ForEach([&result, &expr](ObjectId id, const Bytes& data) {
@@ -172,23 +146,6 @@ Result<Storm::ScanResult> Storm::ScanSearch(std::string_view query) {
         }
         return Status::OK();
       }));
-
-  if (options_.enable_query_cache) {
-    if (query_cache_.size() >= options_.query_cache_entries &&
-        query_cache_.find(canonical) == query_cache_.end()) {
-      // Evict the least recently used entry.
-      auto victim = query_cache_.begin();
-      for (auto it = query_cache_.begin(); it != query_cache_.end(); ++it) {
-        if (it->second.last_used < victim->second.last_used) victim = it;
-      }
-      query_cache_.erase(victim);
-    }
-    CachedQuery entry;
-    entry.epoch = mutation_epoch_;
-    entry.matches = result.matches;
-    entry.last_used = ++cache_clock_;
-    query_cache_[canonical] = std::move(entry);
-  }
   return result;
 }
 

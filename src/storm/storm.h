@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -28,11 +27,6 @@ struct StormOptions {
   std::string replacement = "lru";
   /// Maintain the in-memory keyword index over object contents.
   bool build_index = true;
-  /// Cache ScanSearch results per query text; invalidated by any Put or
-  /// Delete. Turns repeated identical searches into O(1) lookups.
-  bool enable_query_cache = false;
-  /// Maximum cached queries (LRU eviction).
-  size_t query_cache_entries = 64;
   /// Write-ahead log path; empty disables the WAL. With a WAL, every
   /// Put/Delete is durable the moment it returns — even over an
   /// in-memory pager (the log alone reconstructs the store on reopen).
@@ -55,10 +49,7 @@ class Storm {
   struct ScanResult {
     std::vector<ObjectId> matches;
     /// Objects examined — the quantity the simulation charges CPU for.
-    /// Zero when the result was served from the query cache.
     size_t objects_scanned = 0;
-    /// True iff the result came from the query cache.
-    bool from_cache = false;
   };
 
   /// Opens (or creates) a store.
@@ -90,8 +81,7 @@ class Storm {
   /// a QueryExpr ("a b OR c": whole-token, case-insensitive terms).
   /// This is the code path the paper's StorM agent runs ("makes a
   /// comparison for each object stored in the Shared-StorM database with
-  /// its query"). With enable_query_cache, repeated identical queries
-  /// are answered from cache until the store mutates.
+  /// its query").
   Result<ScanResult> ScanSearch(std::string_view query);
 
   /// Index-backed search (fast path; requires build_index). Evaluates
@@ -113,13 +103,6 @@ class Storm {
     mutation_listener_ = std::move(listener);
   }
 
-  /// Query-cache statistics.
-  uint64_t query_cache_hits() const { return cache_hits_; }
-  uint64_t query_cache_misses() const { return cache_misses_; }
-  /// Live query-cache entries. Stale-epoch entries are purged eagerly on
-  /// every mutation, so this never counts unreachable results.
-  size_t query_cache_size() const { return query_cache_.size(); }
-
   /// Writes all dirty state back to the pager.
   Status Flush();
 
@@ -138,15 +121,8 @@ class Storm {
  private:
   Storm() = default;
 
-  /// One logical mutation: bumps the epoch, drops the (now entirely
-  /// stale) query cache, and notifies the listener.
+  /// One logical mutation: bumps the epoch and notifies the listener.
   void BumpEpoch();
-
-  struct CachedQuery {
-    uint64_t epoch = 0;
-    std::vector<ObjectId> matches;
-    uint64_t last_used = 0;
-  };
 
   StormOptions options_;
   std::unique_ptr<Pager> pager_;
@@ -155,11 +131,7 @@ class Storm {
   std::unique_ptr<WriteAheadLog> wal_;
   KeywordIndex index_;
   std::function<void(uint64_t)> mutation_listener_;
-  std::map<std::string, CachedQuery, std::less<>> query_cache_;
   uint64_t mutation_epoch_ = 0;
-  uint64_t cache_clock_ = 0;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
 };
 
 }  // namespace bestpeer::storm

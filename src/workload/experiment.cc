@@ -1,9 +1,6 @@
 #include "workload/experiment.h"
 
-#include "net/sim_transport.h"
-
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 
@@ -11,9 +8,6 @@
 #include "baseline/gnutella.h"
 #include "core/node.h"
 #include "core/search_agent.h"
-#include "sim/fault.h"
-#include "sim/simulator.h"
-#include "util/logging.h"
 
 namespace bestpeer::workload {
 
@@ -120,144 +114,35 @@ storm::StormOptions StoreOptions(const ExperimentOptions& options) {
   // Default experiments use the scan path (the StorM agent); the index
   // is built only when a path actually reads it.
   s.build_index =
-      options.use_index_search || options.enable_content_summaries;
-  s.enable_query_cache = options.enable_query_cache;
+      options.node.use_index_search || options.node.enable_content_summaries;
   return s;
-}
-
-/// True when the run should record trace spans (option or BP_TRACE_OUT).
-bool TraceRequested(const ExperimentOptions& options) {
-  return options.trace || std::getenv("BP_TRACE_OUT") != nullptr;
-}
-
-/// The effective sampling cadence (BP_SAMPLE_INTERVAL_US wins; 0 = off).
-SimTime SampleInterval(const ExperimentOptions& options) {
-  if (const char* env = std::getenv("BP_SAMPLE_INTERVAL_US")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<SimTime>(v);
-  }
-  return options.sample_interval;
-}
-
-/// The effective flight ring capacity (BP_FLIGHT_OUT enables; 0 = off).
-size_t FlightCapacity(const ExperimentOptions& options) {
-  if (options.flight_capacity > 0) return options.flight_capacity;
-  if (std::getenv("BP_FLIGHT_OUT") != nullptr) {
-    return obs::FlightRecorderOptions{}.capacity;
-  }
-  return 0;
-}
-
-/// Enables the simulator's flight recorder when requested. Called before
-/// any protocol stack registers message-type names so the recorder sees
-/// them all.
-void MaybeEnableFlight(sim::Simulator* simulator,
-                       const ExperimentOptions& options) {
-  const size_t capacity = FlightCapacity(options);
-  if (capacity == 0) return;
-  obs::FlightRecorderOptions fo;
-  fo.capacity = capacity;
-  if (const char* out = std::getenv("BP_FLIGHT_OUT")) fo.auto_dump_path = out;
-  simulator->EnableFlightRecorder(fo);
-}
-
-/// Sampler + driver when sampling is on (both null otherwise). One
-/// object so the Run* functions stay one-liners.
-struct Sampling {
-  std::unique_ptr<obs::TimeSeriesSampler> sampler;
-  std::unique_ptr<obs::SamplerDriver> driver;
-
-  Sampling(sim::Simulator* simulator, const metrics::Registry* registry,
-           const ExperimentOptions& options) {
-    const SimTime interval = SampleInterval(options);
-    if (interval <= 0) return;
-    sampler = std::make_unique<obs::TimeSeriesSampler>(registry, interval);
-    sampler->AddDefaultColumns();
-    driver = std::make_unique<obs::SamplerDriver>(simulator, sampler.get());
-  }
-
-  /// Re-arms per query round (the driver stops when the queue drains).
-  void Arm() {
-    if (driver != nullptr) driver->Arm();
-  }
-
-  void Finish(ExperimentResult* result) {
-    if (sampler != nullptr) result->timeseries = sampler->Take();
-  }
-};
-
-/// One span covering a whole query, from issue to last answer.
-void RecordQuerySpan(sim::Simulator& simulator, uint32_t base_node,
-                     uint64_t query_id, SimTime start, SimTime duration) {
-  trace::TraceRecorder* recorder = simulator.trace();
-  if (recorder == nullptr) return;
-  trace::Span span;
-  span.name = "query";
-  span.cat = "query";
-  span.tid = base_node;
-  span.ts = start;
-  span.dur = duration;
-  span.flow = query_id;
-  recorder->RecordSpan(std::move(span));
 }
 
 // ------------------------------------------------------------------ BestPeer
 
 Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
-  // Declared first so instruments outlive every component holding handles.
-  metrics::Registry registry;
-  sim::Simulator simulator;
-  if (TraceRequested(options)) simulator.EnableTracing();
-  MaybeEnableFlight(&simulator, options);
-  Sampling sampling(&simulator, &registry, options);
-  options.fault.EnableOn(&simulator, options.seed, &registry);
-  sim::NetworkOptions net_options = options.net;
-  net_options.metrics = &registry;
-  sim::SimNetwork network(&simulator, net_options);
-  net::SimTransportFleet fleet(&network);
+  SimRun run(options.obs, options.fault, options.seed, options.net);
   core::SharedInfra infra;
 
   const Topology& topo = options.topology;
   std::vector<NodeId> ids;
   ids.reserve(topo.node_count);
-  for (size_t i = 0; i < topo.node_count; ++i) ids.push_back(network.AddNode());
+  for (size_t i = 0; i < topo.node_count; ++i) {
+    ids.push_back(run.network().AddNode());
+  }
 
-  core::BestPeerConfig config;
-  config.max_direct_peers = options.max_direct_peers;
-  config.strategy =
-      options.scheme == Scheme::kBpr ? options.strategy : "none";
-  config.answer_mode = options.answer_mode;
-  config.auto_fetch = options.auto_fetch;
-  config.codec = options.codec;
-  config.default_ttl = options.ttl;
-  config.metrics = &registry;
-  config.enable_result_cache = options.enable_result_cache;
-  config.result_cache_bytes = options.result_cache_bytes;
-  config.cache_lru_only = options.cache_lru_only;
-  config.enable_replication = options.enable_replication;
-  config.replica_hot_threshold = options.replica_hot_threshold;
-  config.replica_top_k = options.replica_top_k;
-  // RunUntilIdle between queries drains every pending timer, so a finite
-  // TTL would always expire replicas before the next query could benefit;
-  // workload runs therefore map the option directly (0 = no expiry).
-  config.replica_ttl = options.replica_ttl;
-  config.use_index_search = options.use_index_search;
-  config.enable_content_summaries = options.enable_content_summaries;
-  config.enable_gossip = options.enable_gossip;
-  config.gossip_fanout = options.gossip_fanout;
-  config.gossip_interval = options.gossip_interval;
+  core::BestPeerConfig config = options.node;
+  if (options.scheme != Scheme::kBpr) config.strategy = "none";
   config.gossip_seed = options.seed;
-  config.qos_replica_placement = options.qos_replica_placement;
-  config.replica_fanout = options.replica_fanout;
-  config.count_stale_probes = options.count_stale_probes;
-  options.fault.ApplyTo(&config);
+  config.metrics = run.registry();
 
   std::vector<std::unique_ptr<core::BestPeerNode>> nodes;
   nodes.reserve(topo.node_count);
   CorpusGenerator corpus({options.object_size, 500, 0.8}, options.seed);
   for (size_t i = 0; i < topo.node_count; ++i) {
-    BP_ASSIGN_OR_RETURN(auto node, core::BestPeerNode::Create(
-                                       fleet.For(ids[i]), &infra, config));
+    BP_ASSIGN_OR_RETURN(
+        auto node,
+        core::BestPeerNode::Create(run.fleet().For(ids[i]), &infra, config));
     BP_RETURN_IF_ERROR(node->InitStorage(StoreOptions(options)));
     BP_RETURN_IF_ERROR(PopulateStore(
         options, i, corpus,
@@ -270,10 +155,10 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
     nodes[a]->AddDirectPeerLocal(ids[b]);
     nodes[b]->AddDirectPeerLocal(ids[a]);
   }
-  if (options.enable_content_summaries) {
+  if (config.enable_content_summaries) {
     // Store population scheduled debounced summary pushes; edges are
     // wired now, so draining here delivers every digest before query 1.
-    simulator.RunUntilIdle();
+    run.simulator().RunUntilIdle();
   }
   if (options.prewarm_code_cache) {
     for (NodeId id : ids) {
@@ -303,35 +188,33 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
                 std::to_string(query_zipf->Sample(*query_rng));
     }
     BP_ASSIGN_OR_RETURN(uint64_t query_id, base.IssueSearch(keyword));
-    sampling.Arm();
-    simulator.RunUntilIdle();
+    run.ArmSampler();
+    run.simulator().RunUntilIdle();
     const core::QuerySession* session = base.FindSession(query_id);
     if (session == nullptr) {
       return Status::Internal("query session lost");
     }
     const bool content_fetched =
-        options.answer_mode != core::AnswerMode::kIndicate ||
-        options.auto_fetch;
+        config.answer_mode != core::AnswerMode::kIndicate || config.auto_fetch;
     QueryMetrics metrics;
     metrics.completion = session->completion_time();
     metrics.total_answers = content_fetched ? session->total_answers()
                                             : session->total_indicated();
     metrics.unique_answers = session->unique_answers();
     metrics.responders = session->responder_count();
-    metrics.responses = content_fetched &&
-                                options.answer_mode ==
-                                    core::AnswerMode::kIndicate
-                            ? session->fetches()
-                            : session->responses();
+    metrics.responses =
+        content_fetched && config.answer_mode == core::AnswerMode::kIndicate
+            ? session->fetches()
+            : session->responses();
     for (auto& e : metrics.responses) e.time -= session->start_time();
-    RecordQuerySpan(simulator, static_cast<uint32_t>(ids[topo.base]),
-                    query_id, session->start_time(),
-                    session->completion_time());
+    run.RecordQuerySpan(ids[topo.base], query_id, session->start_time(),
+                        session->completion_time());
     result.queries.push_back(std::move(metrics));
 
     if (options.scheme == Scheme::kBpr) {
       BP_RETURN_IF_ERROR(base.Reconfigure(query_id));
-      simulator.RunUntilIdle();  // Let connect/disconnect notices land.
+      // Let connect/disconnect notices land.
+      run.simulator().RunUntilIdle();
     }
 
     if (options.mutate_every > 0 && (q + 1) % options.mutate_every == 0) {
@@ -348,47 +231,37 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
         mutation_cursor = node + 1;
         break;
       }
-      simulator.RunUntilIdle();
+      run.simulator().RunUntilIdle();
     }
   }
-  result.wire_bytes = network.total_wire_bytes();
-  result.metrics = registry.TakeSnapshot();
-  result.trace = simulator.shared_trace();
-  result.flight = simulator.shared_flight();
-  sampling.Finish(&result);
+  run.Finish(&result);
   return result;
 }
 
 // ------------------------------------------------------------------ CS
 
 Result<ExperimentResult> RunCs(const ExperimentOptions& options) {
-  metrics::Registry registry;
-  sim::Simulator simulator;
-  if (TraceRequested(options)) simulator.EnableTracing();
-  MaybeEnableFlight(&simulator, options);
-  Sampling sampling(&simulator, &registry, options);
-  sim::NetworkOptions net_options = options.net;
-  net_options.metrics = &registry;
-  sim::SimNetwork network(&simulator, net_options);
-  net::SimTransportFleet fleet(&network);
+  SimRun run(options.obs, options.fault, options.seed, options.net);
 
   const Topology& topo = options.topology;
   std::vector<NodeId> ids;
-  for (size_t i = 0; i < topo.node_count; ++i) ids.push_back(network.AddNode());
+  for (size_t i = 0; i < topo.node_count; ++i) {
+    ids.push_back(run.network().AddNode());
+  }
 
   baseline::CsConfig config;
   config.single_thread = options.scheme == Scheme::kScs;
-  config.codec = options.codec;
-  config.ship_content = options.answer_mode == core::AnswerMode::kDirect;
-  config.use_index_search = options.use_index_search;
+  config.codec = options.node.codec;
+  config.ship_content = options.node.answer_mode == core::AnswerMode::kDirect;
+  config.use_index_search = options.node.use_index_search;
 
   std::vector<std::unique_ptr<baseline::CsNode>> nodes;
   CorpusGenerator corpus({options.object_size, 500, 0.8}, options.seed);
   for (size_t i = 0; i < topo.node_count; ++i) {
-    BP_ASSIGN_OR_RETURN(auto node,
-                        baseline::CsNode::Create(fleet.For(ids[i]), config));
+    BP_ASSIGN_OR_RETURN(
+        auto node, baseline::CsNode::Create(run.fleet().For(ids[i]), config));
     storm::StormOptions store = StoreOptions(options);
-    store.metrics = &registry;
+    store.metrics = run.registry();
     store.metrics_label = std::to_string(ids[i]);
     BP_RETURN_IF_ERROR(node->InitStorage(store));
     BP_RETURN_IF_ERROR(PopulateStore(
@@ -408,8 +281,8 @@ Result<ExperimentResult> RunCs(const ExperimentOptions& options) {
   for (size_t q = 0; q < options.queries; ++q) {
     BP_ASSIGN_OR_RETURN(uint64_t query_id,
                         base.IssueQuery(CorpusGenerator::kNeedle));
-    sampling.Arm();
-    simulator.RunUntilIdle();
+    run.ArmSampler();
+    run.simulator().RunUntilIdle();
     const baseline::CsSession* session = base.FindSession(query_id);
     if (session == nullptr) return Status::Internal("cs session lost");
     QueryMetrics metrics;
@@ -418,45 +291,35 @@ Result<ExperimentResult> RunCs(const ExperimentOptions& options) {
     metrics.responders = session->responder_count();
     metrics.responses = session->answers();
     for (auto& e : metrics.responses) e.time -= session->start_time();
-    RecordQuerySpan(simulator, static_cast<uint32_t>(ids[topo.base]),
-                    query_id, session->start_time(),
-                    session->completion_time());
+    run.RecordQuerySpan(ids[topo.base], query_id, session->start_time(),
+                        session->completion_time());
     result.queries.push_back(std::move(metrics));
   }
-  result.wire_bytes = network.total_wire_bytes();
-  result.metrics = registry.TakeSnapshot();
-  result.trace = simulator.shared_trace();
-  result.flight = simulator.shared_flight();
-  sampling.Finish(&result);
+  run.Finish(&result);
   return result;
 }
 
 // ------------------------------------------------------------------ Gnutella
 
 Result<ExperimentResult> RunGnutella(const ExperimentOptions& options) {
-  metrics::Registry registry;
-  sim::Simulator simulator;
-  if (TraceRequested(options)) simulator.EnableTracing();
-  MaybeEnableFlight(&simulator, options);
-  Sampling sampling(&simulator, &registry, options);
-  sim::NetworkOptions net_options = options.net;
-  net_options.metrics = &registry;
-  sim::SimNetwork network(&simulator, net_options);
-  net::SimTransportFleet fleet(&network);
+  SimRun run(options.obs, options.fault, options.seed, options.net);
 
   const Topology& topo = options.topology;
   std::vector<NodeId> ids;
-  for (size_t i = 0; i < topo.node_count; ++i) ids.push_back(network.AddNode());
+  for (size_t i = 0; i < topo.node_count; ++i) {
+    ids.push_back(run.network().AddNode());
+  }
 
   baseline::GnutellaConfig config;
   config.default_ttl = static_cast<uint8_t>(
-      std::min<uint16_t>(options.ttl, 255));
+      std::min<uint16_t>(options.node.default_ttl, 255));
 
   std::vector<std::unique_ptr<baseline::GnutellaNode>> nodes;
   CorpusGenerator corpus({options.object_size, 500, 0.8}, options.seed);
   for (size_t i = 0; i < topo.node_count; ++i) {
     BP_ASSIGN_OR_RETURN(
-        auto node, baseline::GnutellaNode::Create(fleet.For(ids[i]), config));
+        auto node,
+        baseline::GnutellaNode::Create(run.fleet().For(ids[i]), config));
     size_t matches = options.MatchesAt(i);
     for (size_t f = 0; f < options.files_per_node; ++f) {
       node->ShareFile(corpus.MakeFileName(f < matches, f),
@@ -474,8 +337,8 @@ Result<ExperimentResult> RunGnutella(const ExperimentOptions& options) {
   for (size_t q = 0; q < options.queries; ++q) {
     BP_ASSIGN_OR_RETURN(uint64_t key,
                         base.IssueQuery(CorpusGenerator::kNeedle));
-    sampling.Arm();
-    simulator.RunUntilIdle();
+    run.ArmSampler();
+    run.simulator().RunUntilIdle();
     const baseline::GnutellaSession* session = base.FindSession(key);
     if (session == nullptr) return Status::Internal("gnutella session lost");
     QueryMetrics metrics;
@@ -484,15 +347,11 @@ Result<ExperimentResult> RunGnutella(const ExperimentOptions& options) {
     metrics.responders = session->responder_count();
     metrics.responses = session->hits();
     for (auto& e : metrics.responses) e.time -= session->start_time();
-    RecordQuerySpan(simulator, static_cast<uint32_t>(ids[topo.base]), key,
-                    session->start_time(), session->completion_time());
+    run.RecordQuerySpan(ids[topo.base], key, session->start_time(),
+                        session->completion_time());
     result.queries.push_back(std::move(metrics));
   }
-  result.wire_bytes = network.total_wire_bytes();
-  result.metrics = registry.TakeSnapshot();
-  result.trace = simulator.shared_trace();
-  result.flight = simulator.shared_flight();
-  sampling.Finish(&result);
+  run.Finish(&result);
   return result;
 }
 
@@ -506,37 +365,17 @@ Result<ExperimentResult> RunExperiment(const ExperimentOptions& options) {
       options.matches_per_node_vec.size() != options.topology.node_count) {
     return Status::InvalidArgument("placement size != node count");
   }
-  Result<ExperimentResult> result = Status::InvalidArgument("unknown scheme");
   switch (options.scheme) {
     case Scheme::kScs:
     case Scheme::kMcs:
-      result = RunCs(options);
-      break;
+      return RunCs(options);
     case Scheme::kBps:
     case Scheme::kBpr:
-      result = RunBestPeer(options);
-      break;
+      return RunBestPeer(options);
     case Scheme::kGnutella:
-      result = RunGnutella(options);
-      break;
+      return RunGnutella(options);
   }
-  if (result.ok() && result.value().trace != nullptr) {
-    if (const char* out = std::getenv("BP_TRACE_OUT")) {
-      Status s = result.value().trace->WriteChromeJson(out);
-      if (!s.ok()) {
-        BP_LOG(Warn) << "BP_TRACE_OUT write failed: " << s.ToString();
-      }
-    }
-  }
-  if (result.ok() && result.value().flight != nullptr) {
-    if (const char* out = std::getenv("BP_FLIGHT_OUT")) {
-      Status s = result.value().flight->WriteNdjson(out);
-      if (!s.ok()) {
-        BP_LOG(Warn) << "BP_FLIGHT_OUT write failed: " << s.ToString();
-      }
-    }
-  }
-  return result;
+  return Status::InvalidArgument("unknown scheme");
 }
 
 Result<ExperimentResult> RunAveraged(ExperimentOptions options,

@@ -2,21 +2,17 @@
 #define BESTPEER_WORKLOAD_EXPERIMENT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/config.h"
 #include "core/session.h"
-#include "obs/flight_recorder.h"
-#include "obs/timeseries.h"
 #include "sim/network.h"
-#include "util/metrics.h"
 #include "util/result.h"
 #include "util/sim_time.h"
-#include "util/trace.h"
 #include "workload/corpus.h"
 #include "workload/fault_options.h"
+#include "workload/sim_run.h"
 #include "workload/topology.h"
 
 namespace bestpeer::workload {
@@ -45,24 +41,11 @@ struct QueryMetrics {
   size_t responders = 0;
 };
 
-/// Full outcome of one experiment (same query repeated `queries` times).
-struct ExperimentResult {
+/// Full outcome of one experiment (same query repeated `queries` times),
+/// plus the run's artifacts (wire bytes, metrics, trace, timeseries,
+/// flight ring; see RunArtifacts).
+struct ExperimentResult : RunArtifacts {
   std::vector<QueryMetrics> queries;
-  /// Total bytes that crossed the simulated wire over all queries.
-  uint64_t wire_bytes = 0;
-  /// Snapshot of every instrument the run touched (net.*, cpu.*, agent.*,
-  /// core.*, storm.*). RunAveraged sums snapshots across seeds.
-  metrics::Snapshot metrics;
-  /// Per-query trace spans, present iff tracing was on (ExperimentOptions
-  /// trace flag or BP_TRACE_OUT). RunAveraged keeps the first seed's trace.
-  std::shared_ptr<trace::TraceRecorder> trace;
-  /// Periodic Registry samples, non-empty iff sample_interval (or
-  /// BP_SAMPLE_INTERVAL_US) was set. RunAveraged keeps the first seed's.
-  obs::TimeSeries timeseries;
-  /// Flight-recorder ring, present iff flight recording was on
-  /// (flight_capacity or BP_FLIGHT_OUT). RunAveraged keeps the first
-  /// seed's recorder.
-  std::shared_ptr<obs::FlightRecorder> flight;
 
   double MeanCompletionMs() const;
   double CompletionMs(size_t query_index) const;
@@ -87,61 +70,29 @@ struct ExperimentOptions {
   /// effect between repetitions for BPR).
   size_t queries = 4;
 
-  /// BestPeer-specific knobs.
-  core::AnswerMode answer_mode = core::AnswerMode::kDirect;
-  std::string strategy = "maxcount";  // BPR strategy.
-  size_t max_direct_peers = 8;        // k.
-  bool auto_fetch = true;             // Mode-2 content fetch.
-  std::string codec = "lzss";
-  uint16_t ttl = 16;
+  /// The per-node configuration every node runs (BestPeer schemes use
+  /// all of it; SCS/MCS take the codec, answer mode and index search,
+  /// Gnutella the TTL). The driver derives three fields itself: strategy
+  /// ("none" for BPS), gossip_seed (the run seed) and metrics (the run's
+  /// registry). The §4 experiments deviate from BestPeerConfig's own
+  /// defaults in three places, all set here: k = 8, TTL 16, and
+  /// replica_ttl 0 — RunUntilIdle between queries drains every pending
+  /// timer, so a finite TTL would always expire replicas before the next
+  /// query could benefit (0 = no expiry).
+  core::BestPeerConfig node = [] {
+    core::BestPeerConfig config;
+    config.max_direct_peers = 8;
+    config.default_ttl = 16;
+    config.replica_ttl = 0;
+    return config;
+  }();
 
   /// Gnutella-specific: files per node (matching counts reuse
   /// matches_per_node / matches_per_node_vec).
   size_t files_per_node = 1000;
 
-  /// Enable each node's StorM query cache: repeated identical queries
-  /// skip the store scan until the store mutates.
-  bool enable_query_cache = false;
-
-  /// Result-cache & hot-answer replication knobs (BestPeer schemes only;
-  /// they map onto the matching BestPeerConfig fields).
-  bool enable_result_cache = false;
-  size_t result_cache_bytes = 256 * 1024;
-  bool cache_lru_only = false;
-  bool enable_replication = false;
-  uint32_t replica_hot_threshold = 3;
-  size_t replica_top_k = 4;
-  SimTime replica_ttl = 0;  ///< Receiver-side replica lifetime (0 = none).
-
-  /// Gossip anti-entropy plane (maps onto BestPeerConfig::enable_gossip
-  /// and friends). Off keeps schedules bit-identical to a gossip-less
-  /// build.
-  bool enable_gossip = false;
-  size_t gossip_fanout = 2;
-  SimTime gossip_interval = Millis(2);
-
-  /// QoS-scored replica placement (replica_fanout best peers instead of
-  /// a direct-neighbor broadcast).
-  bool qos_replica_placement = false;
-  size_t replica_fanout = 2;
-
-  /// Count stale cache probes in core.cache_stale_probes (observational;
-  /// never affects scheduling).
-  bool count_stale_probes = false;
-
-  /// Fault injection & recovery (shared knob block; defaults keep the
-  /// fault machinery entirely out of the run — bit-identical schedules).
+  /// Message-loss injection (default off — bit-identical schedules).
   FaultRecoveryOptions fault;
-
-  /// Index-backed search: agents (and CS servers) answer from the StorM
-  /// keyword index, charged per posting touched. Forces build_index at
-  /// every store. Off keeps schedules bit-identical to the scan path.
-  bool use_index_search = false;
-
-  /// Per-peer content summaries (BestPeer schemes only): nodes exchange
-  /// Bloom digests of their stores and the base skips launching agents
-  /// toward direct peers that provably hold no match.
-  bool enable_content_summaries = false;
 
   /// Zipf-repeat query mode: when query_pool > 0, each query's keyword is
   /// "needle<rank>" with rank drawn from a ZipfSampler over the pool
@@ -166,21 +117,8 @@ struct ExperimentOptions {
   uint64_t seed = 42;
   sim::NetworkOptions net;
 
-  /// Record per-query trace spans (query launch, agent hops, scans,
-  /// answer return) against the virtual clock. Also forced on when the
-  /// BP_TRACE_OUT environment variable is set, in which case
-  /// RunExperiment writes the Chrome-trace JSON to that path on return.
-  bool trace = false;
-
-  /// Sim-time sampling cadence for the result's `timeseries` (0 = off).
-  /// BP_SAMPLE_INTERVAL_US (microseconds) overrides when set.
-  SimTime sample_interval = 0;
-
-  /// Flight-recorder ring capacity in events (0 = off). Setting
-  /// BP_FLIGHT_OUT also enables it (default capacity) and makes
-  /// RunExperiment write the NDJSON dump to that path on return;
-  /// anomalies additionally auto-dump there mid-run.
-  size_t flight_capacity = 0;
+  /// Tracing, sampling and flight recording (see ObsOptions).
+  ObsOptions obs;
 
   /// Number of matches expected at node `i`.
   size_t MatchesAt(size_t i) const {
@@ -194,7 +132,9 @@ struct ExperimentOptions {
 Result<ExperimentResult> RunExperiment(const ExperimentOptions& options);
 
 /// Averages the same experiment over `seeds.size()` runs, like the
-/// paper's "average of at least three different executions".
+/// paper's "average of at least three different executions". Metrics
+/// snapshots are summed; trace, timeseries and flight ring are the first
+/// seed's.
 Result<ExperimentResult> RunAveraged(ExperimentOptions options,
                                      const std::vector<uint64_t>& seeds);
 

@@ -3,52 +3,22 @@
 
 #include <cstdint>
 
-#include "core/config.h"
 #include "sim/fault.h"
 #include "sim/simulator.h"
 #include "util/metrics.h"
-#include "util/sim_time.h"
 
 namespace bestpeer::workload {
 
-/// The fault-injection & recovery knob block shared by every workload
-/// driver (ExperimentOptions, ChurnOptions, the scenario engine's
-/// ScenarioSpec). Defaults keep both planes entirely off: no injector is
-/// attached, no recovery field deviates from BestPeerConfig's own
-/// defaults, and schedules stay bit-identical to a fault-free build.
+/// Message-loss injection, shared by every workload driver
+/// (ExperimentOptions, ChurnOptions, the scenario engine's ScenarioSpec).
+/// The recovery side (query deadlines, LIGLO retries, peer eviction,
+/// agent-table expiry) is node configuration and lives in
+/// core::BestPeerConfig. The default attaches no injector, so schedules
+/// stay bit-identical to a fault-free build.
 struct FaultRecoveryOptions {
-  // --- injection --------------------------------------------------------
-
   /// Probability that any message is lost in flight (fault injector;
   /// seeded from the run seed, so runs stay deterministic).
   double message_loss = 0.0;
-
-  // --- recovery ---------------------------------------------------------
-
-  /// Per-query deadline: sessions finalize with partial answers and late
-  /// results are dropped. 0 = queries wait forever (lossless default).
-  SimTime query_deadline = 0;
-
-  /// LIGLO client resends after timeout (join/rejoin/discover survive
-  /// loss). 0 = single attempt.
-  int liglo_retries = 0;
-
-  /// Consecutive missed deadlines before a direct peer is evicted and
-  /// replaced (only observable when query_deadline > 0).
-  uint32_t peer_failure_threshold = 3;
-
-  /// Agent duplicate-table expiry (0 = never forget lost agents).
-  SimTime agent_seen_expiry = 0;
-
-  /// Copies the recovery knobs onto a node config. With default options
-  /// every assignment writes the config's own default back, so this is
-  /// safe to call unconditionally.
-  void ApplyTo(core::BestPeerConfig* config) const {
-    config->query_deadline = query_deadline;
-    config->peer_failure_threshold = peer_failure_threshold;
-    config->liglo_max_retries = liglo_retries;
-    config->agent_seen_expiry = agent_seen_expiry;
-  }
 
   /// Attaches the simulator's fault injector when message_loss > 0. Must
   /// precede SimNetwork construction so the network binds to the

@@ -227,7 +227,7 @@ workload::ExperimentOptions ZipfWorkload() {
   options.object_size = 256;
   options.matches_per_node = 2;
   options.queries = 12;
-  options.ttl = 16;
+  options.node.default_ttl = 16;
   options.seed = 3;
   options.query_pool = 3;
   options.query_zipf_skew = 1.2;
@@ -241,7 +241,7 @@ TEST(CacheWorkloadTest, ZipfRepeatsHitAndCutWireBytes) {
   EXPECT_EQ(off_result->metrics.Value("cache.hits"), 0.0);
 
   workload::ExperimentOptions on = off;
-  on.enable_result_cache = true;
+  on.node.enable_result_cache = true;
   auto on_result = workload::RunExperiment(on);
   ASSERT_TRUE(on_result.ok()) << on_result.status().ToString();
 
@@ -274,7 +274,7 @@ TEST(CacheWorkloadTest, MidWorkloadMutationsStayTransparent) {
   ASSERT_TRUE(off_result.ok()) << off_result.status().ToString();
 
   workload::ExperimentOptions on = off;
-  on.enable_result_cache = true;
+  on.node.enable_result_cache = true;
   auto on_result = workload::RunExperiment(on);
   ASSERT_TRUE(on_result.ok()) << on_result.status().ToString();
 
@@ -294,9 +294,9 @@ TEST(CacheWorkloadTest, MidWorkloadMutationsStayTransparent) {
 
 TEST(CacheWorkloadTest, CacheRunsAreDeterministic) {
   workload::ExperimentOptions options = ZipfWorkload();
-  options.enable_result_cache = true;
-  options.enable_replication = true;
-  options.replica_hot_threshold = 3;
+  options.node.enable_result_cache = true;
+  options.node.enable_replication = true;
+  options.node.replica_hot_threshold = 3;
   auto a = workload::RunExperiment(options);
   auto b = workload::RunExperiment(options);
   ASSERT_TRUE(a.ok() && b.ok());
@@ -310,11 +310,11 @@ TEST(CacheWorkloadTest, CacheRunsAreDeterministic) {
 
 TEST(CacheWorkloadTest, ObservabilityDoesNotPerturbCacheSchedule) {
   workload::ExperimentOptions plain = ZipfWorkload();
-  plain.enable_result_cache = true;
+  plain.node.enable_result_cache = true;
   workload::ExperimentOptions instrumented = plain;
-  instrumented.trace = true;
-  instrumented.sample_interval = Millis(5);
-  instrumented.flight_capacity = 4096;
+  instrumented.obs.trace = true;
+  instrumented.obs.sample_interval = Millis(5);
+  instrumented.obs.flight_capacity = 4096;
 
   auto a = workload::RunExperiment(plain);
   auto b = workload::RunExperiment(instrumented);

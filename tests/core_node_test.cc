@@ -522,60 +522,6 @@ TEST_F(CoreNodeFixture, MultiKeywordSearchEndToEnd) {
   EXPECT_EQ(nodes_[0]->FindSession(or_query)->total_answers(), 2u);
 }
 
-TEST_F(CoreNodeFixture, QueryCacheSpeedsRepeatedSearches) {
-  Build(2, {{0, 1}});
-  // Rebuild node 1's storage with the query cache on.
-  storm::StormOptions store;
-  store.enable_query_cache = true;
-  ASSERT_TRUE(nodes_[1]->InitStorage(store).ok());
-  Fill(1, 100, 5);
-
-  uint64_t q1 = nodes_[0]->IssueSearch("needle").value();
-  sim_.RunUntilIdle();
-  SimTime t1 = nodes_[0]->FindSession(q1)->completion_time();
-  uint64_t q2 = nodes_[0]->IssueSearch("needle").value();
-  sim_.RunUntilIdle();
-  SimTime t2 = nodes_[0]->FindSession(q2)->completion_time();
-  EXPECT_EQ(nodes_[0]->FindSession(q2)->total_answers(), 5u);
-  EXPECT_LT(t2, t1) << "cached scan should skip the per-object CPU";
-  EXPECT_EQ(nodes_[1]->storage()->query_cache_hits(), 1u);
-}
-
-TEST_F(CoreNodeFixture, HistoryWeightStabilizesPeerSet) {
-  // Node 2 is a consistently good answerer; node 3 answers only once
-  // (its objects are deleted after the first query). With history
-  // weighting, node 2 must stay a direct peer even in the round where a
-  // one-off outlier (node 3) happens to answer more.
-  BestPeerConfig config;
-  config.max_direct_peers = 1;
-  config.strategy = "maxcount";
-  config.history_weight = 0.8;
-  Build(4, {{0, 1}, {1, 2}, {1, 3}}, config);
-  Fill(2, 20, 5);
-  Fill(3, 20, 8);
-
-  // Query 1: node 3 answers more and would win a memory-less ranking in
-  // every round; run a couple of rounds to accumulate history for 2.
-  for (int round = 0; round < 2; ++round) {
-    uint64_t qid = nodes_[0]->IssueSearch("needle").value();
-    sim_.RunUntilIdle();
-    ASSERT_TRUE(nodes_[0]->Reconfigure(qid).ok());
-    sim_.RunUntilIdle();
-  }
-  // Node 3 goes silent: delete its matching objects.
-  for (size_t i = 0; i < 8; ++i) {
-    nodes_[3]->storage()->Delete((static_cast<uint64_t>(3) << 24) | i).ok();
-  }
-  // Two more rounds: history decays 3's score; 2 takes over and stays.
-  for (int round = 0; round < 2; ++round) {
-    uint64_t qid = nodes_[0]->IssueSearch("needle").value();
-    sim_.RunUntilIdle();
-    ASSERT_TRUE(nodes_[0]->Reconfigure(qid).ok());
-    sim_.RunUntilIdle();
-  }
-  EXPECT_EQ(nodes_[0]->DirectPeerNodes(), (std::vector<NodeId>{ids_[2]}));
-}
-
 TEST_F(CoreNodeFixture, CompressionShrinksWireBytes) {
   BestPeerConfig lzss;
   lzss.codec = "lzss";

@@ -493,14 +493,14 @@ ExperimentOptions MutatingZipfWorkload() {
   options.object_size = 256;
   options.matches_per_node = 2;
   options.queries = 12;
-  options.ttl = 16;
+  options.node.default_ttl = 16;
   options.seed = 3;
   options.query_pool = 3;
   options.query_zipf_skew = 1.2;
   options.mutate_every = 2;
-  options.enable_result_cache = true;
-  options.enable_replication = true;
-  options.replica_hot_threshold = 3;
+  options.node.enable_result_cache = true;
+  options.node.enable_replication = true;
+  options.node.replica_hot_threshold = 3;
   return options;
 }
 
@@ -513,10 +513,10 @@ TEST(GossipWorkloadTest, GossipOffScheduleIsBitIdentical) {
   ASSERT_TRUE(plain_result.ok()) << plain_result.status().ToString();
 
   ExperimentOptions cranked = plain;
-  cranked.enable_gossip = false;
-  cranked.gossip_fanout = 7;
-  cranked.gossip_interval = Millis(1);
-  cranked.count_stale_probes = true;  // Observational; must not perturb.
+  cranked.node.enable_gossip = false;
+  cranked.node.gossip_fanout = 7;
+  cranked.node.gossip_interval = Millis(1);
+  cranked.node.count_stale_probes = true;  // Observational; must not perturb.
   auto cranked_result = RunExperiment(cranked);
   ASSERT_TRUE(cranked_result.ok()) << cranked_result.status().ToString();
 
@@ -538,12 +538,12 @@ TEST(GossipWorkloadTest, GossipOffScheduleIsBitIdentical) {
 /// gossip-off run exactly, while the stale-probe round trips disappear.
 TEST(GossipWorkloadTest, GossipOnKeepsAnswersAndKillsStaleProbes) {
   ExperimentOptions off = MutatingZipfWorkload();
-  off.count_stale_probes = true;
+  off.node.count_stale_probes = true;
   auto off_result = RunExperiment(off);
   ASSERT_TRUE(off_result.ok()) << off_result.status().ToString();
 
   ExperimentOptions on = off;
-  on.enable_gossip = true;
+  on.node.enable_gossip = true;
   auto on_result = RunExperiment(on);
   ASSERT_TRUE(on_result.ok()) << on_result.status().ToString();
 

@@ -17,7 +17,7 @@ ExperimentOptions Base(Topology topology, Scheme scheme) {
   o.objects_per_node = 200;  // Scaled-down store, same cost model.
   o.matches_per_node = 5;
   o.queries = 4;
-  o.max_direct_peers = 8;
+  o.node.max_direct_peers = 8;
   return o;
 }
 
@@ -94,8 +94,8 @@ TEST(Figure8Shape, BpLearnsGnutellaDoesNot) {
 
   ExperimentOptions bp = Base(random, Scheme::kBpr);
   bp.matches_per_node_vec = matches;
-  bp.answer_mode = core::AnswerMode::kIndicate;  // Names only, like Fig 8.
-  bp.auto_fetch = false;
+  bp.node.answer_mode = core::AnswerMode::kIndicate;  // Names only, like Fig 8.
+  bp.node.auto_fetch = false;
   auto bp_result = RunExperiment(bp).value();
 
   ExperimentOptions gnut = Base(random, Scheme::kGnutella);
@@ -136,7 +136,7 @@ TEST(ReconfigurationSafety, AnswersPreservedAcrossRuns) {
 // MinHops is a valid strategy too: answers preserved, completion helped.
 TEST(ReconfigurationSafety, MinHopsWorks) {
   ExperimentOptions o = Base(MakeLine(12), Scheme::kBpr);
-  o.strategy = "minhops";
+  o.node.strategy = "minhops";
   auto result = RunExperiment(o).value();
   for (const auto& q : result.queries) {
     EXPECT_EQ(q.total_answers, 11u * 5u);

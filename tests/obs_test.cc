@@ -232,7 +232,7 @@ TEST(BenchDiffTest, MissingRowIsStructuralError) {
 
 // --- observability determinism (same seed + faults) -----------------------
 
-workload::ChurnOptions FaultyChurn(metrics::Registry* registry) {
+workload::ChurnOptions FaultyChurn() {
   workload::ChurnOptions o;
   o.node_count = 12;
   o.starter_peers = 2;
@@ -240,22 +240,19 @@ workload::ChurnOptions FaultyChurn(metrics::Registry* registry) {
   o.matches_per_node = 3;
   o.rounds = 3;
   o.fault.message_loss = 0.15;
-  o.fault.liglo_retries = 2;
-  o.fault.query_deadline = Seconds(1);
+  o.node.liglo_max_retries = 2;
+  o.node.query_deadline = Seconds(1);
   o.seed = 7;
-  o.metrics = registry;
-  o.trace = true;
-  o.sample_interval = Millis(5);
-  o.flight_capacity = 4096;
+  o.obs.trace = true;
+  o.obs.sample_interval = Millis(5);
+  o.obs.flight_capacity = 4096;
   return o;
 }
 
 TEST(ObsDeterminismTest, SameSeedSameFaultsBitIdenticalDumps) {
-  metrics::Registry r1;
-  auto a = workload::RunChurnExperiment(FaultyChurn(&r1));
+  auto a = workload::RunChurnExperiment(FaultyChurn());
   ASSERT_TRUE(a.ok()) << a.status().ToString();
-  metrics::Registry r2;
-  auto b = workload::RunChurnExperiment(FaultyChurn(&r2));
+  auto b = workload::RunChurnExperiment(FaultyChurn());
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 
   ASSERT_NE(a->flight, nullptr);
@@ -268,13 +265,11 @@ TEST(ObsDeterminismTest, SameSeedSameFaultsBitIdenticalDumps) {
 }
 
 TEST(ObsDeterminismTest, RecorderAndSamplerDoNotPerturbTheSchedule) {
-  metrics::Registry r1;
-  workload::ChurnOptions with = FaultyChurn(&r1);
-  metrics::Registry r2;
-  workload::ChurnOptions without = FaultyChurn(&r2);
-  without.trace = false;
-  without.sample_interval = 0;
-  without.flight_capacity = 0;
+  workload::ChurnOptions with = FaultyChurn();
+  workload::ChurnOptions without = FaultyChurn();
+  without.obs.trace = false;
+  without.obs.sample_interval = 0;
+  without.obs.flight_capacity = 0;
 
   auto a = workload::RunChurnExperiment(with);
   auto b = workload::RunChurnExperiment(without);
@@ -300,9 +295,9 @@ TEST(CriticalPathTest, ComponentsSumToEndToEndLatency) {
   options.objects_per_node = 40;
   options.matches_per_node = 4;
   options.queries = 3;
-  options.ttl = 16;
-  options.trace = true;
-  options.flight_capacity = 4096;
+  options.node.default_ttl = 16;
+  options.obs.trace = true;
+  options.obs.flight_capacity = 4096;
   auto result = workload::RunExperiment(options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_NE(result->trace, nullptr);

@@ -107,75 +107,5 @@ TEST(StormQueryTest, IndexMatchesScanOnRandomQueries) {
   }
 }
 
-// ---------------------------------------------------------------- caching
-
-TEST(StormQueryTest, CacheHitsSkipTheScan) {
-  StormOptions options;
-  options.enable_query_cache = true;
-  auto storm = Storm::Open(options).value();
-  for (ObjectId id = 0; id < 20; ++id) {
-    storm->Put(id, Content(id % 4 == 0 ? "needle x" : "hay x")).ok();
-  }
-  auto first = storm->ScanSearch("needle").value();
-  EXPECT_FALSE(first.from_cache);
-  EXPECT_EQ(first.objects_scanned, 20u);
-  auto second = storm->ScanSearch("needle").value();
-  EXPECT_TRUE(second.from_cache);
-  EXPECT_EQ(second.objects_scanned, 0u);
-  EXPECT_EQ(second.matches, first.matches);
-  EXPECT_EQ(storm->query_cache_hits(), 1u);
-  EXPECT_EQ(storm->query_cache_misses(), 1u);
-}
-
-TEST(StormQueryTest, MutationInvalidatesCache) {
-  StormOptions options;
-  options.enable_query_cache = true;
-  auto storm = Storm::Open(options).value();
-  storm->Put(1, Content("needle")).ok();
-  storm->ScanSearch("needle").value();
-  storm->Put(2, Content("another needle")).ok();
-  auto after = storm->ScanSearch("needle").value();
-  EXPECT_FALSE(after.from_cache) << "Put must invalidate";
-  EXPECT_EQ(after.matches.size(), 2u);
-  storm->Delete(1).ok();
-  auto after_delete = storm->ScanSearch("needle").value();
-  EXPECT_FALSE(after_delete.from_cache) << "Delete must invalidate";
-  EXPECT_EQ(after_delete.matches, (std::vector<ObjectId>{2}));
-}
-
-TEST(StormQueryTest, CacheNormalizesQueryText) {
-  StormOptions options;
-  options.enable_query_cache = true;
-  auto storm = Storm::Open(options).value();
-  storm->Put(1, Content("alpha beta")).ok();
-  storm->ScanSearch("Alpha  Beta").value();
-  auto second = storm->ScanSearch("alpha beta").value();
-  EXPECT_TRUE(second.from_cache)
-      << "case/spacing variants share one cache entry";
-}
-
-TEST(StormQueryTest, CacheEvictsLru) {
-  StormOptions options;
-  options.enable_query_cache = true;
-  options.query_cache_entries = 2;
-  auto storm = Storm::Open(options).value();
-  storm->Put(1, Content("a b c")).ok();
-  storm->ScanSearch("a").value();   // Cache: {a}
-  storm->ScanSearch("b").value();   // Cache: {a, b}
-  storm->ScanSearch("a").value();   // Touch a.
-  storm->ScanSearch("c").value();   // Evicts b.
-  EXPECT_TRUE(storm->ScanSearch("a").value().from_cache);
-  EXPECT_FALSE(storm->ScanSearch("b").value().from_cache);
-}
-
-TEST(StormQueryTest, CacheDisabledByDefault) {
-  auto storm = Storm::Open({}).value();
-  storm->Put(1, Content("needle")).ok();
-  storm->ScanSearch("needle").value();
-  auto second = storm->ScanSearch("needle").value();
-  EXPECT_FALSE(second.from_cache);
-  EXPECT_EQ(second.objects_scanned, 1u);
-}
-
 }  // namespace
 }  // namespace bestpeer::storm

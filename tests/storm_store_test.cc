@@ -231,7 +231,13 @@ TEST(StormTest, UpdateReplacesContentAndIndex) {
 
 TEST(StormTest, UpdateIsOneAtomicMutation) {
   auto storm = Storm::Open({}).value();
+  // Put and Delete are one mutation each.
+  ASSERT_TRUE(storm->Put(2, Content("scratch")).ok());
+  EXPECT_EQ(storm->mutation_epoch(), 1u);
+  ASSERT_TRUE(storm->Delete(2).ok());
+  EXPECT_EQ(storm->mutation_epoch(), 2u);
   ASSERT_TRUE(storm->Put(1, Content("needle old")).ok());
+  EXPECT_EQ(storm->mutation_epoch(), 3u);
 
   size_t listener_fires = 0;
   uint64_t last_epoch = 0;
@@ -272,40 +278,6 @@ TEST(StormTest, UpdateFailurePathKeepsOldObject) {
             (std::vector<ObjectId>{1}));
   EXPECT_EQ(storm->mutation_epoch(), before);
   EXPECT_EQ(listener_fires, 0u);
-}
-
-TEST(StormTest, QueryCacheDropsStaleEntriesEagerly) {
-  StormOptions options;
-  options.enable_query_cache = true;
-  options.query_cache_entries = 4;
-  auto storm = Storm::Open(options).value();
-  ASSERT_TRUE(storm->Put(1, Content("needle one")).ok());
-
-  // Fill the cache to capacity with distinct queries.
-  for (const char* q : {"needle", "one", "ghost", "gone"}) {
-    ASSERT_TRUE(storm->ScanSearch(q).ok());
-  }
-  EXPECT_EQ(storm->query_cache_size(), 4u);
-
-  // Any mutation makes every entry unreachable; they must be purged, not
-  // left to consume query_cache_entries capacity.
-  ASSERT_TRUE(storm->Put(2, Content("needle two")).ok());
-  EXPECT_EQ(storm->query_cache_size(), 0u);
-
-  // The freed capacity must serve fresh entries: four new queries all
-  // fit and all hit on repeat (with stale entries occupying slots, the
-  // O(n) LRU scan would have evicted fresh ones instead).
-  for (const char* q : {"needle", "one", "two", "fresh"}) {
-    ASSERT_TRUE(storm->ScanSearch(q).ok());
-  }
-  EXPECT_EQ(storm->query_cache_size(), 4u);
-  const uint64_t hits_before = storm->query_cache_hits();
-  for (const char* q : {"needle", "one", "two", "fresh"}) {
-    auto repeat = storm->ScanSearch(q);
-    ASSERT_TRUE(repeat.ok());
-    EXPECT_TRUE(repeat->from_cache) << q;
-  }
-  EXPECT_EQ(storm->query_cache_hits(), hits_before + 4);
 }
 
 TEST(StormTest, ThousandObjectWorkload) {

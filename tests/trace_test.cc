@@ -22,15 +22,15 @@ ExperimentOptions TracedStar() {
   o.object_size = 256;
   o.matches_per_node = 2;
   o.queries = 2;
-  o.max_direct_peers = 4;
-  o.ttl = 4;
-  o.trace = true;
+  o.node.max_direct_peers = 4;
+  o.node.default_ttl = 4;
+  o.obs.trace = true;
   return o;
 }
 
 TEST(TraceE2eTest, TracingOffByDefault) {
   ExperimentOptions options = TracedStar();
-  options.trace = false;
+  options.obs.trace = false;
   auto result = RunExperiment(options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().trace, nullptr);

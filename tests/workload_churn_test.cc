@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
+#include "obs/json_reader.h"
 #include "workload/churn.h"
 
 namespace bestpeer::workload {
@@ -102,9 +107,9 @@ TEST(ChurnTest, LossyRunWithRecoveryIsDeterministic) {
   o.leave_fraction = 0.25;
   o.rejoin_fraction = 0.5;
   o.fault.message_loss = 0.1;
-  o.fault.liglo_retries = 2;
-  o.fault.query_deadline = 1000000;  // 1s in sim microseconds.
-  o.fault.peer_failure_threshold = 2;
+  o.node.liglo_max_retries = 2;
+  o.node.query_deadline = 1000000;  // 1s in sim microseconds.
+  o.node.peer_failure_threshold = 2;
   auto a = RunChurnExperiment(o).value();
   auto b = RunChurnExperiment(o).value();
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
@@ -113,6 +118,38 @@ TEST(ChurnTest, LossyRunWithRecoveryIsDeterministic) {
     EXPECT_EQ(a.rounds[i].received_answers, b.rounds[i].received_answers);
     EXPECT_EQ(a.rounds[i].completion, b.rounds[i].completion);
   }
+}
+
+TEST(ChurnTest, TraceOutEnvWritesChromeJson) {
+  const std::string path = ::testing::TempDir() + "bp_churn_trace.json";
+  std::remove(path.c_str());
+  ::setenv("BP_TRACE_OUT", path.c_str(), 1);
+  auto result = RunChurnExperiment(SmallChurn());
+  ::unsetenv("BP_TRACE_OUT");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  auto json = obs::ReadJsonFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const obs::JsonValue* events = json->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  size_t query_spans = 0;
+  for (const obs::JsonValue& e : events->AsArray()) {
+    const obs::JsonValue* cat = e.Find("cat");
+    if (cat != nullptr && cat->is_string() && cat->AsString() == "query") {
+      ++query_spans;
+    }
+  }
+  EXPECT_EQ(query_spans, result->rounds.size());
+}
+
+TEST(ChurnTest, SamplesWithoutACallerRegistry) {
+  ChurnOptions o = SmallChurn();
+  o.obs.sample_interval = Millis(5);
+  auto result = RunChurnExperiment(o).value();
+  ASSERT_FALSE(result.timeseries.empty());
+  EXPECT_GT(result.metrics.Value("net.messages_sent"), 0);
 }
 
 TEST(ChurnTest, RejectsDegenerateOptions) {

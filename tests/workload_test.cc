@@ -136,7 +136,7 @@ TEST(ExperimentTest, SmallBestPeerRun) {
   options.objects_per_node = 50;
   options.matches_per_node = 2;
   options.queries = 2;
-  options.max_direct_peers = 2;
+  options.node.max_direct_peers = 2;
   auto result = RunExperiment(options).value();
   ASSERT_EQ(result.queries.size(), 2u);
   // 3 non-base nodes x 2 matches.
@@ -204,6 +204,25 @@ TEST(ExperimentTest, DeterministicAcrossRuns) {
     EXPECT_EQ(r1.queries[i].completion, r2.queries[i].completion);
     EXPECT_EQ(r1.queries[i].total_answers, r2.queries[i].total_answers);
   }
+}
+
+TEST(ExperimentTest, NodeConfigReachesEveryNode) {
+  // per_object_match_cost is a BestPeerConfig field ExperimentOptions
+  // never mirrored: doubling it must slow every scan without changing
+  // what is found.
+  ExperimentOptions options;
+  options.topology = MakeStar(5);
+  options.scheme = Scheme::kBps;
+  options.objects_per_node = 50;
+  options.matches_per_node = 2;
+  options.queries = 2;
+  ExperimentOptions slow = options;
+  slow.node.per_object_match_cost = 2 * options.node.per_object_match_cost;
+  auto base = RunExperiment(options).value();
+  auto slowed = RunExperiment(slow).value();
+  EXPECT_GT(slowed.MeanCompletionMs(), base.MeanCompletionMs());
+  EXPECT_EQ(slowed.TotalAnswers(), base.TotalAnswers());
+  EXPECT_EQ(base.TotalAnswers(), 2u * 4u * 2u);  // queries x peers x matches
 }
 
 TEST(ExperimentTest, AveragedRunsMerge) {

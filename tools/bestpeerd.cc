@@ -155,7 +155,6 @@ std::string PeersJson(
              ", \"last_hops\": " + obs::JsonNumber(p.info.last_hops) +
              ", \"consecutive_failures\": " +
              obs::JsonNumber(p.info.consecutive_failures) +
-             ", \"benefit_score\": " + obs::JsonNumber(p.benefit_score) +
              ", \"store_size_hint\": " + obs::JsonNumber(p.store_size_hint) +
              "}";
     }

@@ -31,8 +31,8 @@ int LintOne(const std::string& path) {
               "pool=%zu reconfigure=%s\n",
               spec.name.c_str(),
               static_cast<unsigned long long>(spec.seed),
-              spec.topology.kind.c_str(), spec.TotalNodes(), spec.ttl,
-              spec.query_pool,
+              spec.topology.kind.c_str(), spec.TotalNodes(),
+              spec.node.default_ttl, spec.query_pool,
               spec.reconfigure_each_phase ? "phase" : "off");
   size_t offset = 0;
   for (const NodeClassSpec& cls : spec.classes) {
@@ -84,9 +84,9 @@ int LintOne(const std::string& path) {
   }
   if (spec.fault.message_loss > 0) {
     std::printf("  fault: %.1f%% message loss", spec.fault.message_loss * 100);
-    if (spec.fault.query_deadline > 0) {
+    if (spec.node.query_deadline > 0) {
       std::printf(", %.0fms query deadline",
-                  ToMillis(spec.fault.query_deadline));
+                  ToMillis(spec.node.query_deadline));
     }
     std::printf("\n");
   }
