@@ -120,7 +120,7 @@ class BenchReport {
   }
 
   /// Folds a raw registry snapshot in (for benches that drive a workload
-  /// directly, or that report a run's metrics without its wire bytes).
+  /// directly rather than through a workload run).
   void Absorb(const metrics::Snapshot& snapshot) {
     metrics_.Merge(snapshot);
   }

@@ -59,8 +59,6 @@ Status ComputeAgent::Execute(agent::AgentContext& ctx) {
 
   size_t scanned = 0;
   Status status = Status::OK();
-  storm::Storm::ScanResult all;  // unused; ForEach drives the scan
-  (void)all;
   std::vector<storm::ObjectId> ids = storage->ListIds();
   for (storm::ObjectId id : ids) {
     ++scanned;

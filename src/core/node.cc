@@ -852,7 +852,7 @@ void BestPeerNode::OnDataShipResponse(const net::Message& msg) {
   size_t matches = 0;
   const std::string& keyword = it->second.keyword();
   for (const auto& item : resp->items) {
-    if (ContainsKeyword(ToString(item.content), keyword)) ++matches;
+    if (ContainsKeyword(AsStringView(item.content), keyword)) ++matches;
   }
   SimTime cost = static_cast<SimTime>(resp->items.size()) *
                  config_.per_object_match_cost;

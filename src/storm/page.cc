@@ -139,11 +139,45 @@ void Page::Compact() {
   set_free_off(write_off);
 }
 
+namespace {
+
+constexpr uint64_t kChecksumMul = 0x9E3779B97F4A7C15ULL;
+
+inline uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+/// One lane step. For a fixed lane value it is a bijection of the word
+/// (xor), and for a fixed word a bijection of the lane (xor, odd multiply,
+/// rotate), so changing any single word always changes the final lane.
+inline uint64_t Absorb(uint64_t lane, uint64_t word) {
+  return Rotl((lane ^ word) * kChecksumMul, 31);
+}
+
+}  // namespace
+
 uint64_t Page::ComputeChecksum() const {
-  // Checksum covers everything except the checksum field itself.
-  uint64_t h = Fnv1a64(data_, 16);
-  h ^= Fnv1a64(data_ + kHeaderSize, kPageSize - kHeaderSize);
-  return h;
+  // Covers everything except the checksum field [16, 24): the two header
+  // words seed lanes 0 and 1, then the body streams through four
+  // independent lanes, eight bytes per lane step.
+  static_assert((kPageSize - kHeaderSize) % 8 == 0);
+  uint64_t lane[4] = {0x243F6A8885A308D3ULL, 0x13198A2E03707344ULL,
+                      0xA4093822299F31D0ULL, 0x082EFA98EC4E6C89ULL};
+  lane[0] = Absorb(lane[0], ReadU64(0));
+  lane[1] = Absorb(lane[1], ReadU64(8));
+  constexpr size_t kBlock = 32;
+  size_t off = kHeaderSize;
+  for (; off + kBlock <= kPageSize; off += kBlock) {
+    for (int l = 0; l < 4; ++l) {
+      lane[l] = Absorb(lane[l], ReadU64(off + 8 * static_cast<size_t>(l)));
+    }
+  }
+  for (int l = 0; off < kPageSize; off += 8, ++l) {
+    lane[l] = Absorb(lane[l], ReadU64(off));
+  }
+  // Fold the lanes (each step a bijection of the incoming lane), then
+  // finish with an avalanche so every lane bit reaches every output bit.
+  uint64_t h = lane[0];
+  for (int l = 1; l < 4; ++l) h = Absorb(h, lane[l]);
+  return Mix64(h);
 }
 
 void Page::UpdateChecksum() { WriteU64(16, ComputeChecksum()); }

@@ -28,7 +28,7 @@ Result<std::unique_ptr<Storm>> Storm::Open(const StormOptions& options) {
   if (options.build_index) {
     BP_RETURN_IF_ERROR(storm->objects_->ForEach(
         [&storm](ObjectId id, const Bytes& data) {
-          storm->index_.Add(id, ToString(data));
+          storm->index_.Add(id, AsStringView(data));
           return Status::OK();
         }));
   }
@@ -46,7 +46,7 @@ Result<std::unique_ptr<Storm>> Storm::Open(const StormOptions& options) {
                         record.object_id, record.content));
                     if (storm->options_.build_index) {
                       storm->index_.Add(record.object_id,
-                                        ToString(record.content));
+                                        AsStringView(record.content));
                     }
                   }
                   break;
@@ -79,7 +79,7 @@ Status Storm::Put(ObjectId id, const Bytes& data) {
   // Log before apply: a crash after the append replays the Put on open.
   if (wal_ != nullptr) BP_RETURN_IF_ERROR(wal_->AppendPut(id, data));
   BP_RETURN_IF_ERROR(objects_->Put(id, data));
-  if (options_.build_index) index_.Add(id, ToString(data));
+  if (options_.build_index) index_.Add(id, AsStringView(data));
   BumpEpoch();
   return Status::OK();
 }
@@ -129,7 +129,7 @@ Status Storm::Update(ObjectId id, const Bytes& data) {
   }
   // Add() replaces the old postings of id wholesale, so the index never
   // keeps tokens from the previous content.
-  if (options_.build_index) index_.Add(id, ToString(data));
+  if (options_.build_index) index_.Add(id, AsStringView(data));
   BumpEpoch();
   return Status::OK();
 }
@@ -138,10 +138,10 @@ Result<Storm::ScanResult> Storm::ScanSearch(std::string_view query) {
   BP_ASSIGN_OR_RETURN(QueryExpr expr, QueryExpr::Parse(query));
   expr.Normalize();
   ScanResult result;
-  BP_RETURN_IF_ERROR(
-      objects_->ForEach([&result, &expr](ObjectId id, const Bytes& data) {
+  BP_RETURN_IF_ERROR(objects_->ForEach(
+      [&result, &expr](ObjectId id, const Bytes& data) {
         ++result.objects_scanned;
-        if (expr.Matches(ToString(data))) {
+        if (expr.Matches(AsStringView(data))) {
           result.matches.push_back(id);
         }
         return Status::OK();

@@ -103,6 +103,11 @@ Bytes ToBytes(std::string_view s);
 /// Converts a byte vector to a string.
 std::string ToString(const Bytes& b);
 
+/// Views bytes as characters without copying; the view borrows `b`.
+inline std::string_view AsStringView(const Bytes& b) {
+  return {reinterpret_cast<const char*>(b.data()), b.size()};
+}
+
 }  // namespace bestpeer
 
 #endif  // BESTPEER_UTIL_BYTES_H_

@@ -6,8 +6,8 @@
 
 namespace bestpeer {
 
-/// FNV-1a 64-bit hash over arbitrary bytes. Used for checksums on StorM
-/// pages and for hashing keywords into the inverted index.
+/// FNV-1a 64-bit hash over arbitrary bytes. Used for StorM WAL record
+/// checksums, content-summary keyword hashes and the cache sketch.
 uint64_t Fnv1a64(const void* data, size_t len);
 
 /// FNV-1a over a string.

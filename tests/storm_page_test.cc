@@ -119,6 +119,31 @@ TEST(PageTest, ChecksumDetectsCorruption) {
   EXPECT_FALSE(page.VerifyChecksum());
 }
 
+TEST(PageTest, ChecksumCatchesEveryByteFlipOutsideItsField) {
+  Page page;
+  page.Init(9);
+  Rng rng(21);
+  for (int r = 0; r < 5; ++r) {
+    Bytes rec(1 + rng.NextBounded(600));
+    for (auto& b : rec) b = static_cast<uint8_t>(rng.NextBounded(256));
+    ASSERT_TRUE(page.Insert(rec.data(), rec.size()).ok());
+  }
+  page.UpdateChecksum();
+  ASSERT_TRUE(page.VerifyChecksum());
+  // Every byte but the stored checksum [16, 24) is covered, whether it
+  // is header, record data, free space or slot directory.
+  for (size_t i = 0; i < Page::kPageSize; ++i) {
+    if (i >= 16 && i < Page::kHeaderSize) continue;
+    for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+      page.raw()[i] ^= mask;
+      EXPECT_FALSE(page.VerifyChecksum()) << "byte " << i << " mask "
+                                          << static_cast<int>(mask);
+      page.raw()[i] ^= mask;
+    }
+  }
+  EXPECT_TRUE(page.VerifyChecksum());
+}
+
 TEST(PageTest, FreeSpaceAccountsForSlotEntry) {
   Page page;
   page.Init(1);

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "storm/object_store.h"
+#include "storm/query_expr.h"
 #include "storm/storm.h"
 #include "util/rng.h"
 
@@ -64,6 +65,17 @@ TEST(ObjectStoreTest, EmptyObject) {
   auto store = MakeStore(&pager, &raw, &pool);
   ASSERT_TRUE(store->Put(5, Bytes{}).ok());
   EXPECT_EQ(store->Get(5).value(), Bytes{});
+  // The scan visits the empty object too.
+  size_t visits = 0;
+  ASSERT_TRUE(store
+                  ->ForEach([&visits](ObjectId id, const Bytes& data) {
+                    ++visits;
+                    EXPECT_EQ(id, 5u);
+                    EXPECT_TRUE(data.empty());
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(visits, 1u);
 }
 
 TEST(ObjectStoreTest, LargeObjectSpansChunks) {
@@ -298,6 +310,192 @@ TEST(StormTest, ThousandObjectWorkload) {
   EXPECT_GT(storm->buffer_pool().evictions(), 0u)
       << "workload must exceed the buffer pool";
 }
+
+// ------------------------------------------------------- scan property
+
+// ScanSearch matches a view of each object ForEach hands it, without a
+// string copy. Property: on seeded stores with empty, single- and
+// multi-chunk objects, after deletes, updates and page compaction, over a
+// pool smaller than the store, it returns what a Get-per-id loop returns
+// and fetches the same pages.
+
+struct ScanCase {
+  bool file_backed;
+  uint64_t seed;
+};
+
+class StormScanPropertyTest : public ::testing::TestWithParam<ScanCase> {};
+
+const char* const kScanWords[] = {"Needle", "hay", "STACK", "peer",
+                                  "agent",  "store"};
+constexpr size_t kUniformSize = 1000;  // 4 records fill a page exactly.
+
+// Text drawn from a random subset of kScanWords, so that objects of every
+// size differ in which queries they match.
+Bytes ScanText(Rng& rng, size_t size) {
+  std::vector<const char*> words;
+  while (words.empty()) {
+    for (const char* word : kScanWords) {
+      if (rng.NextBool(0.4)) words.push_back(word);
+    }
+  }
+  std::string text;
+  while (text.size() < size) {
+    text += words[rng.NextBounded(words.size())];
+    text += " ,.-"[rng.NextBounded(4)];
+  }
+  text.resize(size);
+  return Content(text);
+}
+
+// 1/8 empty, 1/4 multi-chunk, the rest single-chunk.
+Bytes RandomScanObject(Rng& rng) {
+  const uint64_t kind = rng.NextBounded(8);
+  if (kind == 0) return Bytes{};
+  if (kind <= 2) {
+    return ScanText(rng, ObjectStore::kChunkDataSize + 1 +
+                             rng.NextBounded(2 * ObjectStore::kChunkDataSize));
+  }
+  return ScanText(rng, 1 + rng.NextBounded(1500));
+}
+
+// Builds the same store, page for page, for the same case. Two stores of
+// one case therefore also start their scans from the same pool state.
+std::unique_ptr<Storm> BuildScanStore(const ScanCase& c,
+                                      const std::string& path) {
+  StormOptions options;
+  if (c.file_backed) options.path = path;
+  options.buffer_frames = 4;
+  std::unique_ptr<Storm> storm = Storm::Open(options).value();
+  Rng rng(c.seed);
+  Pager* pager = storm->buffer_pool().pager();
+
+  // Full pages of four uniform records; deleting every other one leaves
+  // only fragmented space, so the refill fits only by Compact().
+  ObjectId id = 0;
+  for (; id < 48; ++id) {
+    EXPECT_TRUE(storm->Put(id, ScanText(rng, kUniformSize)).ok());
+  }
+  for (ObjectId odd = 1; odd < 48; odd += 2) {
+    EXPECT_TRUE(storm->Delete(odd).ok());
+  }
+  const PageId uniform_pages = pager->page_count();
+  for (; id < 72; ++id) {
+    EXPECT_TRUE(storm->Put(id, ScanText(rng, kUniformSize)).ok());
+  }
+  EXPECT_EQ(pager->page_count(), uniform_pages) << "refill must compact";
+
+  // Random objects, then deletes and updates over everything.
+  for (id = 100; id < 220; ++id) {
+    EXPECT_TRUE(storm->Put(id, RandomScanObject(rng)).ok());
+  }
+  for (ObjectId victim : storm->ListIds()) {
+    const uint64_t op = rng.NextBounded(4);
+    if (op == 0) {
+      EXPECT_TRUE(storm->Delete(victim).ok());
+    }
+    if (op == 1) {
+      EXPECT_TRUE(storm->Update(victim, RandomScanObject(rng)).ok());
+    }
+  }
+  for (id = 300; id < 330; ++id) {
+    EXPECT_TRUE(storm->Put(id, RandomScanObject(rng)).ok());
+  }
+  EXPECT_GT(pager->page_count(), 4 * options.buffer_frames)
+      << "the store must exceed the buffer pool";
+  return storm;
+}
+
+struct PoolDelta {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
+// ScanSearch spelled out: Get() each id and match a string copy.
+Storm::ScanResult ReferenceScan(Storm& storm, std::string_view query) {
+  QueryExpr expr = QueryExpr::Parse(query).value();
+  expr.Normalize();
+  Storm::ScanResult result;
+  for (ObjectId id : storm.ListIds()) {
+    ++result.objects_scanned;
+    Bytes content = storm.Get(id).value();
+    if (expr.Matches(ToString(content))) result.matches.push_back(id);
+  }
+  return result;
+}
+
+const char* const kScanQueries[] = {"needle", "hay stack", "peer OR agent",
+                                    "store needle OR hay", "absent"};
+
+TEST_P(StormScanPropertyTest, ScanEqualsGetPerIdLoop) {
+  const ScanCase c = GetParam();
+  const std::string tag = (c.file_backed ? "file" : "mem") +
+                          std::to_string(c.seed);
+  TempFile scan_file("scan_" + tag);
+  TempFile ref_file("ref_" + tag);
+  std::unique_ptr<Storm> scanned = BuildScanStore(c, scan_file.path());
+  std::unique_ptr<Storm> reference = BuildScanStore(c, ref_file.path());
+  ASSERT_EQ(scanned->ListIds(), reference->ListIds());
+
+  size_t empty = 0;
+  size_t multi_chunk = 0;
+  for (ObjectId id : reference->ListIds()) {
+    const size_t size = reference->Get(id).value().size();
+    empty += size == 0;
+    multi_chunk += size > ObjectStore::kChunkDataSize;
+  }
+  EXPECT_GT(empty, 0u);
+  EXPECT_GT(multi_chunk, 0u);
+
+  size_t total_matches = 0;
+  for (const char* query : kScanQueries) {
+    BufferPool& scan_pool = scanned->buffer_pool();
+    BufferPool& ref_pool = reference->buffer_pool();
+    const PoolDelta scan_before{scan_pool.hits(), scan_pool.misses()};
+    const PoolDelta ref_before{ref_pool.hits(), ref_pool.misses()};
+
+    Storm::ScanResult got = scanned->ScanSearch(query).value();
+    Storm::ScanResult want = ReferenceScan(*reference, query);
+    EXPECT_EQ(got.matches, want.matches) << query;
+    EXPECT_EQ(got.objects_scanned, want.objects_scanned) << query;
+    EXPECT_EQ(scan_pool.hits() - scan_before.hits,
+              ref_pool.hits() - ref_before.hits)
+        << query;
+    EXPECT_EQ(scan_pool.misses() - scan_before.misses,
+              ref_pool.misses() - ref_before.misses)
+        << query;
+    EXPECT_GT(scan_pool.misses() - scan_before.misses, 0u) << query;
+    EXPECT_EQ(got.matches, scanned->IndexSearch(query).value()) << query;
+    total_matches += got.matches.size();
+  }
+  EXPECT_GT(total_matches, 0u);
+
+  if (c.file_backed) {
+    // Reopening rebuilds the keyword index through the same ForEach.
+    ASSERT_TRUE(scanned->Flush().ok());
+    std::vector<ObjectId> ids = scanned->ListIds();
+    scanned.reset();
+    StormOptions options;
+    options.path = scan_file.path();
+    options.buffer_frames = 4;
+    std::unique_ptr<Storm> reopened = Storm::Open(options).value();
+    EXPECT_EQ(reopened->ListIds(), ids);
+    for (const char* query : kScanQueries) {
+      EXPECT_EQ(reopened->IndexSearch(query).value(),
+                ReferenceScan(*reference, query).matches)
+          << query;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PagersAndSeeds, StormScanPropertyTest,
+    ::testing::Values(ScanCase{false, 1}, ScanCase{false, 2},
+                      ScanCase{true, 3}, ScanCase{true, 4}),
+    [](const ::testing::TestParamInfo<ScanCase>& info) {
+      return std::string(info.param.file_backed ? "FilePager" : "MemPager") +
+             "Seed" + std::to_string(info.param.seed);
+    });
 
 }  // namespace
 }  // namespace bestpeer::storm

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <set>
 
 #include "util/bytes.h"
@@ -338,6 +340,53 @@ TEST(StringsTest, ContainsKeywordAtBoundaries) {
   EXPECT_TRUE(ContainsKeyword("needle", "needle"));
   EXPECT_TRUE(ContainsKeyword("needle at start", "needle"));
   EXPECT_TRUE(ContainsKeyword("ends with needle", "needle"));
+}
+
+TEST(StringsTest, ContainsKeywordEqualsTokenMembership) {
+  // Mixed-case text over a small alphabet (so matches are common), with
+  // punctuation and bytes >= 0x80 as separators, against alphanumeric
+  // keywords: a match is exactly "some token equals the keyword".
+  const std::string word_chars = "abAB01";
+  const std::string other_chars = " ,.-!\x80\xE9\xFF";
+  Rng rng(1234);
+  auto random_word = [&](size_t max_len) {
+    std::string w;
+    const size_t len = 1 + rng.NextBounded(max_len);
+    for (size_t i = 0; i < len; ++i) {
+      w += word_chars[rng.NextBounded(word_chars.size())];
+    }
+    return w;
+  };
+  size_t hits = 0;
+  size_t edge_hits = 0;
+  for (int round = 0; round < 20000; ++round) {
+    std::string text;
+    const size_t len = rng.NextBounded(24);
+    for (size_t i = 0; i < len; ++i) {
+      const std::string& pool = rng.NextBool(0.7) ? word_chars : other_chars;
+      text += pool[rng.NextBounded(pool.size())];
+    }
+    const std::string keyword = random_word(3);
+    // Plant the keyword (recased) at the start or the end a third of the
+    // time, sometimes glued to a neighbouring word character.
+    const uint64_t plant = rng.NextBounded(6);
+    std::string recased = keyword;
+    for (char& ch : recased) {
+      if (rng.NextBool()) ch = static_cast<char>(std::toupper(ch));
+    }
+    if (plant == 0) text = recased + text;
+    if (plant == 1) text += recased;
+    const std::vector<std::string> tokens = TokenizeKeywords(text);
+    const bool expected = std::find(tokens.begin(), tokens.end(),
+                                    ToLower(keyword)) != tokens.end();
+    ASSERT_EQ(ContainsKeyword(text, keyword), expected)
+        << "text " << ::testing::PrintToString(text) << " keyword "
+        << keyword;
+    hits += expected;
+    if (expected && plant <= 1) ++edge_hits;
+  }
+  EXPECT_GT(hits, 2000u);
+  EXPECT_GT(edge_hits, 500u);
 }
 
 TEST(StringsTest, StartsEndsWith) {
