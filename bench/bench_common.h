@@ -113,22 +113,14 @@ class BenchReport {
     rows_.emplace_back(std::move(label), values);
   }
 
-  /// Folds one run's wire bytes and metrics into the report's aggregate.
-  void Absorb(const workload::RunArtifacts& result) {
-    wire_bytes_ += result.wire_bytes;
-    metrics_.Merge(result.metrics);
-  }
-
-  /// Folds a raw registry snapshot in (for benches that drive a workload
-  /// directly rather than through a workload run).
-  void Absorb(const metrics::Snapshot& snapshot) {
-    metrics_.Merge(snapshot);
-  }
+  /// Folds one run's (or one registry's) metrics into the report's
+  /// aggregate; the summary's totals are read from it.
+  void Absorb(const metrics::Snapshot& snapshot) { metrics_.Merge(snapshot); }
 
   /// MustRun + Absorb in one step.
   workload::ExperimentResult Run(const workload::ExperimentOptions& options) {
     workload::ExperimentResult result = MustRun(options);
-    Absorb(result);
+    Absorb(result.metrics);
     return result;
   }
 
@@ -184,7 +176,8 @@ class BenchReport {
     const uint64_t hop_samples = metrics_.CountOf("agent.hops_at_execute");
     std::fprintf(f, "  ],\n  \"summary\": {\n");
     std::fprintf(f, "    \"wire_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(wire_bytes_));
+                 static_cast<unsigned long long>(
+                     metrics_.Value("net.wire_bytes")));
     std::fprintf(f, "    \"net_messages\": %s,\n",
                  obs::JsonNumber(metrics_.Value("net.messages_sent")).c_str());
     std::fprintf(f, "    \"agent_migrations\": %s,\n",
@@ -309,7 +302,6 @@ class BenchReport {
   metrics::Snapshot metrics_;
   std::string timeseries_json_;
   std::string critical_path_json_;
-  uint64_t wire_bytes_ = 0;
   bool written_ = false;
   bool write_failed_ = false;
 };

@@ -111,7 +111,7 @@ int main() {
     ChurnOptions rec = WithRecovery(BaseOptions());
     rec.fault.message_loss = loss;
     ChurnResult recovered = Run(rec);
-    report.Absorb(recovered);
+    report.Absorb(recovered.metrics);
     report.AttachObservability(recovered);
 
     char label[16];

@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
               total_queries, result.suppressed_arrivals,
               static_cast<unsigned long long>(result.wire_bytes));
 
-  report.Absorb(result);
+  report.Absorb(result.metrics);
   report.AttachObservability(result);
   return report.Close();
 }

@@ -8,26 +8,34 @@ namespace bestpeer::storm {
 
 void KeywordIndex::Add(ObjectId id, std::string_view text) {
   Remove(id);  // Update semantics: replace any previous postings of id.
-  std::vector<std::string> tokens = TokenizeKeywords(text);
-  std::sort(tokens.begin(), tokens.end());
-  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-  for (const std::string& token : tokens) {
-    std::vector<ObjectId>& list = postings_[token];
-    auto pos = std::lower_bound(list.begin(), list.end(), id);
-    if (pos == list.end() || *pos != id) list.insert(pos, id);
-  }
-  if (!tokens.empty()) doc_tokens_[id] = std::move(tokens);
+  std::vector<PostingMap::iterator> lists;
+  ForEachToken(text, token_buf_, [&](std::string_view token) {
+    auto it = postings_.lower_bound(token);
+    if (it == postings_.end() || it->first != token) {
+      it = postings_.emplace_hint(it, std::string(token),
+                                  std::vector<ObjectId>());
+    }
+    std::vector<ObjectId>& list = it->second;
+    // Ids mostly arrive in ascending order, so try the tail first. After
+    // Remove(id), finding id in a list means the token repeats in text.
+    if (list.empty() || list.back() < id) {
+      list.push_back(id);
+    } else {
+      auto pos = std::lower_bound(list.begin(), list.end(), id);
+      if (*pos == id) return;
+      list.insert(pos, id);
+    }
+    lists.push_back(it);
+  });
+  if (!lists.empty()) doc_tokens_.emplace(id, std::move(lists));
 }
 
 void KeywordIndex::Remove(ObjectId id) {
   auto doc = doc_tokens_.find(id);
   if (doc == doc_tokens_.end()) return;
-  for (const std::string& token : doc->second) {
-    auto it = postings_.find(token);
-    if (it == postings_.end()) continue;
+  for (PostingMap::iterator it : doc->second) {
     std::vector<ObjectId>& list = it->second;
-    auto pos = std::lower_bound(list.begin(), list.end(), id);
-    if (pos != list.end() && *pos == id) list.erase(pos);
+    list.erase(std::lower_bound(list.begin(), list.end(), id));
     if (list.empty()) postings_.erase(it);
   }
   doc_tokens_.erase(doc);

@@ -16,16 +16,17 @@ namespace bestpeer::storm {
 /// added/removed; gives the fast search path next to the full-scan path
 /// the paper's StorM agent uses.
 ///
-/// The index remembers the token set it indexed per object, so removal
-/// needs only the id — callers can no longer leak postings by passing
-/// content that differs from what was Add()ed.
+/// The index remembers which posting lists it put each object in, so
+/// removal needs only the id — callers can no longer leak postings by
+/// passing content that differs from what was Add()ed.
 class KeywordIndex {
  public:
   /// Indexes the tokens of `text` under `id`. Re-adding an id replaces
   /// its previous postings (update semantics), never accumulates them.
+  /// Allocates a keyword string only for a keyword not yet indexed.
   void Add(ObjectId id, std::string_view text);
 
-  /// Removes every posting of `id`, using the token set recorded at
+  /// Removes every posting of `id`, using the posting lists recorded at
   /// Add time. No-op for unknown ids.
   void Remove(ObjectId id);
 
@@ -64,9 +65,16 @@ class KeywordIndex {
   }
 
  private:
-  std::map<std::string, std::vector<ObjectId>, std::less<>> postings_;
-  /// Deduplicated, sorted token list recorded per indexed object.
-  std::map<ObjectId, std::vector<std::string>> doc_tokens_;
+  using PostingMap = std::map<std::string, std::vector<ObjectId>, std::less<>>;
+
+  PostingMap postings_;
+  /// The posting lists each indexed object is in, one entry per distinct
+  /// keyword. Map nodes are stable, and a keyword's node lives exactly as
+  /// long as some object holds it, so these iterators stay valid until
+  /// the object itself is removed.
+  std::map<ObjectId, std::vector<PostingMap::iterator>> doc_tokens_;
+  /// Reused lowercase token buffer for Add.
+  std::string token_buf_;
 };
 
 }  // namespace bestpeer::storm

@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -71,7 +70,7 @@ double Rng::NextExponential(double mean) {
 Rng Rng::Fork() { return Rng(NextU64()); }
 
 ZipfSampler::ZipfSampler(size_t n, double s) {
-  assert(n > 0);
+  assert(n > 0 && n <= UINT32_MAX);
   cdf_.resize(n);
   double sum = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -79,13 +78,28 @@ ZipfSampler::ZipfSampler(size_t n, double s) {
     cdf_[i] = sum;
   }
   for (auto& c : cdf_) c /= sum;
+
+  size_t buckets = 1;
+  while (buckets < 4 * n) buckets *= 2;
+  guide_size_ = static_cast<double>(buckets);
+  guide_.resize(buckets);
+  const double width = 1.0 / guide_size_;
+  size_t rank = 0;
+  for (size_t j = 0; j < buckets; ++j) {
+    const double lo = static_cast<double>(j) * width;
+    while (rank + 1 < n && cdf_[rank] < lo) ++rank;
+    guide_[j] = static_cast<uint32_t>(rank);
+  }
 }
 
-size_t ZipfSampler::Sample(Rng& rng) const {
-  double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<size_t>(it - cdf_.begin());
+size_t ZipfSampler::RankOf(double u) const {
+  assert(u >= 0.0 && u < 1.0);
+  // floor(u * G) indexes the bucket whose lower edge j / G is <= u, so
+  // its guide rank is a lower bound on the answer.
+  size_t rank = guide_[static_cast<size_t>(u * guide_size_)];
+  const size_t last = cdf_.size() - 1;
+  while (rank < last && cdf_[rank] < u) ++rank;
+  return rank;
 }
 
 }  // namespace bestpeer

@@ -54,18 +54,33 @@ class Rng {
 /// Samples ranks from a Zipf(s, n) distribution over {0, .., n-1} where
 /// rank 0 is the most popular. Used by the workload generator to produce
 /// realistically skewed keyword popularity.
+///
+/// Inversion is O(1) expected: a guide table of G >= 4n buckets (G a
+/// power of two) holds, per bucket j, the first rank whose CDF reaches
+/// j / G, and a draw walks forward from its bucket's rank. Scaling by a
+/// power of two is exact in binary floating point, so the walk lands on
+/// exactly the rank a binary search of the CDF would return.
 class ZipfSampler {
  public:
   /// n: universe size (> 0); s: skew (s = 0 is uniform, larger = more skew).
   ZipfSampler(size_t n, double s);
 
   /// Draws one rank in [0, n).
-  size_t Sample(Rng& rng) const;
+  size_t Sample(Rng& rng) const { return RankOf(rng.NextDouble()); }
+
+  /// The rank a uniform draw `u` in [0, 1) maps to: the first rank whose
+  /// CDF is >= u (the last rank when rounding leaves none).
+  size_t RankOf(double u) const;
 
   size_t universe_size() const { return cdf_.size(); }
 
+  /// The cumulative distribution, cdf()[i] = P(rank <= i).
+  const std::vector<double>& cdf() const { return cdf_; }
+
  private:
   std::vector<double> cdf_;
+  std::vector<uint32_t> guide_;
+  double guide_size_ = 0;
 };
 
 }  // namespace bestpeer

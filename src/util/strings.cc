@@ -36,17 +36,10 @@ std::string ToLower(std::string_view s) {
 
 std::vector<std::string> TokenizeKeywords(std::string_view text) {
   std::vector<std::string> tokens;
-  std::string cur;
-  for (char ch : text) {
-    auto uc = static_cast<unsigned char>(ch);
-    if (std::isalnum(uc)) {
-      cur += static_cast<char>(std::tolower(uc));
-    } else if (!cur.empty()) {
-      tokens.push_back(std::move(cur));
-      cur.clear();
-    }
-  }
-  if (!cur.empty()) tokens.push_back(std::move(cur));
+  std::string buf;
+  ForEachToken(text, buf, [&tokens](std::string_view token) {
+    tokens.emplace_back(token);
+  });
   return tokens;
 }
 

@@ -31,6 +31,7 @@ class CorpusGenerator {
   /// Generates one object's text content. When `match` is true the
   /// content contains kNeedle as a whole token; otherwise it is
   /// guaranteed not to. Content is padded/truncated to object_size.
+  /// Equal to MakeObject(match, {kNeedle}).
   Bytes MakeObject(bool match);
 
   /// Like MakeObject(match), but matching objects lead with all of
@@ -49,9 +50,14 @@ class CorpusGenerator {
   const CorpusOptions& options() const { return options_; }
 
  private:
+  /// The vocabulary word of one Zipf draw, with its trailing space.
+  const std::string& NextWord() { return words_[zipf_.Sample(rng_)]; }
+
   CorpusOptions options_;
   Rng rng_;
   ZipfSampler zipf_;
+  /// "w<rank> " for every rank of the vocabulary.
+  std::vector<std::string> words_;
 };
 
 }  // namespace bestpeer::workload

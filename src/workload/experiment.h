@@ -132,8 +132,10 @@ struct ExperimentOptions {
 Result<ExperimentResult> RunExperiment(const ExperimentOptions& options);
 
 /// Averages the same experiment over `seeds.size()` runs, like the
-/// paper's "average of at least three different executions". Metrics
-/// snapshots are summed; trace, timeseries and flight ring are the first
+/// paper's "average of at least three different executions". Per-query
+/// results and `wire_bytes` are per-seed means (what the bench tables
+/// print per run); metrics snapshots, `net.wire_bytes` included, are
+/// summed over the seeds. Trace, timeseries and flight ring are the first
 /// seed's.
 Result<ExperimentResult> RunAveraged(ExperimentOptions options,
                                      const std::vector<uint64_t>& seeds);

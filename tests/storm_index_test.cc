@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storm/keyword_index.h"
 #include "storm/storm.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace bestpeer::storm {
 namespace {
@@ -187,6 +193,172 @@ TEST(IndexSearchTest, EquivalentToScanAcrossRandomMutations) {
           << storm->mutation_epoch();
     }
   }
+}
+
+// ------------------------------------------------------- model-based index
+
+/// Reference index: keyword -> ids, built from TokenizeKeywords. An
+/// object with no tokens is not a document, as in KeywordIndex.
+class IndexModel {
+ public:
+  void Add(ObjectId id, const std::string& text) {
+    Remove(id);
+    for (const std::string& token : TokenizeKeywords(text)) {
+      postings_[token].insert(id);
+      docs_[id].insert(token);
+    }
+  }
+
+  void Remove(ObjectId id) {
+    auto doc = docs_.find(id);
+    if (doc == docs_.end()) return;
+    for (const std::string& token : doc->second) {
+      postings_[token].erase(id);
+      if (postings_[token].empty()) postings_.erase(token);
+    }
+    docs_.erase(doc);
+  }
+
+  void Clear() {
+    postings_.clear();
+    docs_.clear();
+  }
+
+  const std::map<std::string, std::set<ObjectId>>& postings() const {
+    return postings_;
+  }
+  size_t document_count() const { return docs_.size(); }
+
+ private:
+  std::map<std::string, std::set<ObjectId>> postings_;
+  std::map<ObjectId, std::set<std::string>> docs_;
+};
+
+/// Mixed-case words, repeats, punctuation, bytes >= 0x80 and empty texts.
+std::string RandomIndexText(Rng& rng) {
+  static const std::vector<std::string> words = {
+      "alpha", "Alpha", "BETA", "beta", "w1", "W12", "w120", "needle",
+      "NeedLe", "x", "42", "zeta9"};
+  static const std::vector<std::string> separators = {
+      " ", "  ", ",", "-", "!", ".\n", "\x80", "\xE9", "\xFF ", "\t"};
+  std::string text;
+  const size_t pieces = rng.NextBounded(12);  // 0 pieces: empty text.
+  for (size_t i = 0; i < pieces; ++i) {
+    text += words[rng.NextBounded(words.size())];
+    // Sometimes glue two words into one token.
+    if (rng.NextBounded(8) != 0) {
+      text += separators[rng.NextBounded(separators.size())];
+    }
+  }
+  if (rng.NextBounded(10) == 0) text = "!!\xE9 ,";  // Separators only.
+  return text;
+}
+
+void ExpectIndexMatchesModel(const KeywordIndex& index,
+                             const IndexModel& model) {
+  EXPECT_EQ(index.keyword_count(), model.postings().size());
+  EXPECT_EQ(index.document_count(), model.document_count());
+  std::vector<std::pair<std::string, size_t>> visited;
+  index.ForEachKeyword([&visited](std::string_view keyword, size_t n) {
+    visited.emplace_back(std::string(keyword), n);
+  });
+  std::vector<std::pair<std::string, size_t>> expected;
+  for (const auto& [keyword, ids] : model.postings()) {
+    expected.emplace_back(keyword, ids.size());
+    const std::vector<ObjectId> want(ids.begin(), ids.end());
+    EXPECT_EQ(index.Search(keyword), want) << keyword;
+    std::string upper = keyword;
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    EXPECT_EQ(index.Search(upper), want) << upper;
+    EXPECT_EQ(index.PostingCount(keyword), want.size()) << keyword;
+  }
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(index.Postings("ghost"), nullptr);
+}
+
+TEST(KeywordIndexModelTest, RandomOperationsMatchTokenizeReference) {
+  for (uint64_t seed : {1, 2, 3, 4, 5}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    KeywordIndex index;
+    IndexModel model;
+    std::set<ObjectId> added;
+    for (size_t step = 0; step < 400; ++step) {
+      const uint64_t op = rng.NextBounded(20);
+      if (op < 9) {  // Add a fresh or random id.
+        const ObjectId id = rng.NextBounded(64);
+        const std::string text = RandomIndexText(rng);
+        index.Add(id, text);
+        model.Add(id, text);
+        added.insert(id);
+      } else if (op < 14 && !added.empty()) {  // Re-Add an existing id.
+        const ObjectId id = *std::next(
+            added.begin(), static_cast<long>(rng.NextBounded(added.size())));
+        const std::string text = RandomIndexText(rng);
+        index.Add(id, text);
+        model.Add(id, text);
+      } else if (op < 19) {  // Remove, known or unknown.
+        const ObjectId id = rng.NextBounded(80);
+        index.Remove(id);
+        model.Remove(id);
+        added.erase(id);
+      } else {
+        index.Clear();
+        model.Clear();
+        added.clear();
+      }
+      ExpectIndexMatchesModel(index, model);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(KeywordIndexModelTest, StormMutationsAndReopenMatchReference) {
+  const std::string path = ::testing::TempDir() + "/bp_index_model_" +
+                           std::to_string(::getpid()) + ".db";
+  std::remove(path.c_str());
+  StormOptions options;
+  options.path = path;
+  Rng rng(77);
+  IndexModel model;
+  std::set<ObjectId> live;
+  {
+    auto storm = Storm::Open(options).value();
+    for (size_t step = 0; step < 300; ++step) {
+      const uint64_t op = rng.NextBounded(3);
+      const std::string text = RandomIndexText(rng);
+      if (op == 0 || live.empty()) {
+        const ObjectId id = rng.NextBounded(48);
+        if (live.insert(id).second) {
+          ASSERT_TRUE(storm->Put(id, Content(text)).ok());
+        } else {
+          ASSERT_TRUE(storm->Update(id, Content(text)).ok());
+        }
+        model.Add(id, text);
+      } else {
+        const ObjectId id = *std::next(
+            live.begin(), static_cast<long>(rng.NextBounded(live.size())));
+        if (op == 1) {
+          ASSERT_TRUE(storm->Delete(id).ok());
+          model.Remove(id);
+          live.erase(id);
+        } else {
+          ASSERT_TRUE(storm->Update(id, Content(text)).ok());
+          model.Add(id, text);
+        }
+      }
+      ExpectIndexMatchesModel(storm->index(), model);
+      if (::testing::Test::HasFailure()) break;
+    }
+    ASSERT_TRUE(storm->Flush().ok());
+  }
+  // Reopening the file rebuilds the index from the stored objects.
+  {
+    auto storm = Storm::Open(options).value();
+    EXPECT_EQ(storm->object_count(), live.size());
+    ExpectIndexMatchesModel(storm->index(), model);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

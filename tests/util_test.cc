@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/hash.h"
@@ -291,6 +293,42 @@ TEST(ZipfTest, ZeroSkewIsRoughlyUniform) {
   std::vector<int> counts(10, 0);
   for (int i = 0; i < 20000; ++i) counts[zipf.Sample(rng)]++;
   for (int c : counts) EXPECT_NEAR(c, 2000, 350);
+}
+
+TEST(ZipfTest, RankOfEqualsLowerBound) {
+  // The guide-table inversion must return exactly the rank a binary
+  // search of the CDF returns: for random draws, at every CDF value and
+  // one ulp either side of it, at 0 and just below 1.
+  Rng rng(4242);
+  for (size_t n : {1, 2, 3, 16, 300, 500, 1000, 1025}) {
+    for (double skew : {0.0, 0.8, 1.1, 2.0}) {
+      const ZipfSampler zipf(n, skew);
+      const std::vector<double>& cdf = zipf.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      auto reference = [&cdf](double u) {
+        auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        return it == cdf.end() ? cdf.size() - 1
+                               : static_cast<size_t>(it - cdf.begin());
+      };
+      std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0)};
+      for (double c : cdf) {
+        for (double u :
+             {std::nextafter(c, 0.0), c, std::nextafter(c, 2.0)}) {
+          if (u < 1.0) probes.push_back(u);
+        }
+      }
+      for (int i = 0; i < 1000000; ++i) probes.push_back(rng.NextDouble());
+      size_t mismatches = 0;
+      double first_bad = -1;
+      for (double u : probes) {
+        if (zipf.RankOf(u) != reference(u)) {
+          if (mismatches++ == 0) first_bad = u;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " skew=" << skew
+                                << " first u=" << first_bad;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Hash

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
+#include "bench/bench_common.h"
+#include "obs/json_reader.h"
+#include "util/hash.h"
 #include "util/strings.h"
 #include "workload/corpus.h"
 #include "workload/experiment.h"
@@ -113,6 +121,58 @@ TEST(CorpusTest, DeterministicPerSeed) {
   EXPECT_EQ(a.MakeObject(false), b.MakeObject(false));
 }
 
+// Digests of every corpus API's output. Every committed bench baseline
+// is built from these corpora, so a speed-up of the generator must keep
+// its bytes and its order of random draws; any change to either fails
+// here.
+TEST(CorpusTest, GoldenDigests) {
+  struct Golden {
+    CorpusOptions options;
+    uint64_t objects;  // MakeObject(match)
+    uint64_t pooled;   // MakeObject(match, tokens)
+    uint64_t names;    // MakeFileName
+    uint64_t words;    // RandomWord
+  };
+  const std::vector<Golden> goldens = {
+      {{1024, 500, 0.8}, 0x89CE0F756FDF7BBEULL, 0x2BA67B1700540751ULL,
+       0xDD14A28CF54A1808ULL, 0x4A7F58A7296D6EA2ULL},
+      {{512, 300, 0.8}, 0x8BBFF563675A98A9ULL, 0x0FC2FDA7A65FE3B7ULL,
+       0x4BEABEB5D8E9EF0CULL, 0x05CBBC58B8972FA2ULL},
+      {{0, 500, 0.8}, 0xB5046A364DF47125ULL, 0xB5046A364DF47125ULL,
+       0xDD14A28CF54A1808ULL, 0x4A7F58A7296D6EA2ULL},
+      {{1, 500, 0.8}, 0xAA3DC93727A279A4ULL, 0x875A3347F8325271ULL,
+       0xDD14A28CF54A1808ULL, 0x4A7F58A7296D6EA2ULL},
+      {{5, 500, 0.8}, 0x23D7B582A2CE9576ULL, 0xDC5C1BF6BA528211ULL,
+       0xDD14A28CF54A1808ULL, 0x4A7F58A7296D6EA2ULL},
+      {{4096, 500, 0.8}, 0xFBF0C20757D7FE6FULL, 0xDEEF896659E4929AULL,
+       0xDD14A28CF54A1808ULL, 0x4A7F58A7296D6EA2ULL},
+  };
+  const std::vector<std::string> tokens = {"needle0", "needle5", "needle12"};
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE("object_size " + std::to_string(g.options.object_size) +
+                 " vocabulary " + std::to_string(g.options.vocabulary));
+    std::string objects, pooled, names, words;
+    CorpusGenerator a(g.options, 11);
+    for (size_t i = 0; i < 64; ++i) {
+      objects += ToString(a.MakeObject(i % 5 == 0)) + "\n";
+    }
+    CorpusGenerator b(g.options, 11);
+    for (size_t i = 0; i < 64; ++i) {
+      pooled += ToString(b.MakeObject(i % 3 == 0, tokens)) + "\n";
+    }
+    CorpusGenerator c(g.options, 11);
+    for (size_t i = 0; i < 200; ++i) {
+      names += c.MakeFileName(i % 4 == 0, i) + "\n";
+    }
+    CorpusGenerator d(g.options, 11);
+    for (size_t i = 0; i < 2000; ++i) words += d.RandomWord() + "\n";
+    EXPECT_EQ(Fnv1a64(objects), g.objects);
+    EXPECT_EQ(Fnv1a64(pooled), g.pooled);
+    EXPECT_EQ(Fnv1a64(names), g.names);
+    EXPECT_EQ(Fnv1a64(words), g.words);
+  }
+}
+
 // ---------------------------------------------------------------- placement
 
 TEST(PlacementTest, FarHotPlacementPicksDistantNodes) {
@@ -223,6 +283,50 @@ TEST(ExperimentTest, NodeConfigReachesEveryNode) {
   EXPECT_GT(slowed.MeanCompletionMs(), base.MeanCompletionMs());
   EXPECT_EQ(slowed.TotalAnswers(), base.TotalAnswers());
   EXPECT_EQ(base.TotalAnswers(), 2u * 4u * 2u);  // queries x peers x matches
+}
+
+TEST(ExperimentTest, AveragedWireBytesReportAsSeedTotal) {
+  // RunAveraged keeps wire_bytes as a per-seed mean, but its metrics are
+  // summed over seeds; a report's summary.wire_bytes must be the total,
+  // like its net_messages and metrics block.
+  ExperimentOptions options;
+  options.topology = MakeStar(4);
+  options.scheme = Scheme::kBps;
+  options.objects_per_node = 20;
+  options.matches_per_node = 1;
+  options.queries = 2;
+  const std::vector<uint64_t> seeds = {1, 2, 3};
+  uint64_t total = 0;
+  for (uint64_t seed : seeds) {
+    options.seed = seed;
+    total += RunExperiment(options).value().wire_bytes;
+  }
+  ASSERT_GT(total, 0u);
+  ExperimentResult averaged = RunAveraged(options, seeds).value();
+  EXPECT_EQ(averaged.wire_bytes, total / seeds.size());
+
+  const std::string dir = ::testing::TempDir();
+  ASSERT_EQ(setenv("BP_BENCH_OUT_DIR", dir.c_str(), 1), 0);
+  {
+    bench::BenchReport report("wire_total_test");
+    report.Absorb(averaged.metrics);
+    ASSERT_EQ(report.Close(), 0);
+  }
+  unsetenv("BP_BENCH_OUT_DIR");
+  const std::string path = dir + "/BENCH_wire_total_test.json";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  obs::JsonValue json = obs::ParseJson(text.str()).value();
+  const obs::JsonValue* summary = json.Find("summary");
+  ASSERT_NE(summary, nullptr);
+  const obs::JsonValue* wire = summary->Find("wire_bytes");
+  ASSERT_NE(wire, nullptr);
+  EXPECT_EQ(wire->AsNumber(), static_cast<double>(total));
+  EXPECT_EQ(json.Find("metrics")->Find("net.wire_bytes")->AsNumber(),
+            static_cast<double>(total));
 }
 
 TEST(ExperimentTest, AveragedRunsMerge) {
